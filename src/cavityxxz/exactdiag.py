@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import InvalidCut, NoConvergence, SizeExceeded
 from .model import (
@@ -134,21 +135,20 @@ def sector_ground_state(p: ModelParams, n_up: int, method: str = "auto",
     dim = basis.size
     if method == "auto":
         method = "dense" if dim <= DENSE_SECTOR_LIMIT else "lanczos"
+    if method not in ("dense", "lanczos"):
+        raise ValueError(f"unknown method {method!r}")
+    matvec = make_sector_matvec(p, basis)
     if method == "dense":
         if dim > DENSE_SECTOR_LIMIT:
             raise SizeExceeded(f"dense sector solver limited to {DENSE_SECTOR_LIMIT}, got {dim}")
-        block = sector_dense_block(p, basis)
-        evals, evecs = np.linalg.eigh(block)
+        evals, evecs = scipy.linalg.eigh(sector_dense_block(p, basis), subset_by_index=(0, 0))
         energy, vec = float(evals[0]), evecs[:, 0]
-    elif method == "lanczos":
+    else:
         if dim > LANCZOS_SECTOR_LIMIT:
             raise SizeExceeded(f"Lanczos sector solver limited to {LANCZOS_SECTOR_LIMIT}, got {dim}")
-        energy, vec = lanczos_ground(make_sector_matvec(p, basis), dim, seed=seed)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+        energy, vec = lanczos_ground(matvec, dim, seed=seed)
 
     vec = _fix_sign(vec / np.linalg.norm(vec))
-    matvec = make_sector_matvec(p, basis)
     resid = float(np.linalg.norm(matvec(vec) - energy * vec))
     if resid > RESIDUAL_TOL:
         raise NoConvergence(0, resid)
@@ -198,7 +198,9 @@ def schmidt_coefficients(state: SectorState, cut: int) -> np.ndarray:
 
 def entropy_from_weights(weights: np.ndarray) -> float:
     w = weights[weights > 1e-16]
-    return max(float(-np.sum(w * np.log(w))), 0.0)
+    s = float(-np.sum(w * np.log(w)))
+    # +0.0, not the -0.0 that -sum gives for a product state
+    return s if s > 0.0 else 0.0
 
 
 def cut_entanglement_entropy(state: SectorState, cut: int) -> float:

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
+from scipy import sparse
 
-from . import kernels
 from .errors import DimensionMismatch, InvalidParams, SizeExceeded
 
 OPEN = "open"
@@ -113,34 +113,57 @@ def _bonds(p: ModelParams) -> list[tuple[int, int]]:
     return bonds
 
 
-def pair_tables(p: ModelParams):
-    """Index/mask/amplitude arrays for every XX coupling in H.
+@dataclass(frozen=True, eq=False)
+class SectorOperator:
+    """H restricted to one magnetization sector, in factorized form.
 
-    Each unordered pair (i < j) appears once; the amplitude is the matrix
-    element created by flipping an antiparallel pair.  When j_lr == 0 only
-    nearest-neighbor pairs are emitted.
+    The all-to-all term is a collective-spin operator: with sigma+- the
+    single-site raising and lowering operators, sum_{i<j} (sx_i sx_j + sy_i sy_j)
+    = 2 sum_{i<j} (sigma+_i sigma-_j + h.c.) = 2 (S+_tot S-_tot - n_up), where
+    S+-_tot = sum_i sigma+-_i.  So the sector block is
+
+        diag + hop + lr * lower^T lower,      lr = -J / 2N,
+
+    with ``diag`` the ZZ diagonal minus lr * n_up, ``hop`` the nearest-neighbor
+    flip-flop bonds (amplitude -alpha/2 each), ``lower`` the map S-_tot into
+    the sector with one fewer up spin (``None`` when n_up = 0 or J = 0) and
+    ``lower_t`` its transpose, S+_tot back.  The rows of ``lower`` index the
+    lower sector's states in ascending order; only lower^T lower is used, so
+    that order is free.
     """
-    n = p.n_sites
-    bond_set = set(_bonds(p))
-    lr = -p.j_lr / (2.0 * n)
-    ii, jj, masks, coefs = [], [], [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            coef = lr
-            if (i, j) in bond_set:
-                coef += -p.alpha / 2.0
-            if coef == 0.0:
-                continue
-            ii.append(i)
-            jj.append(j)
-            masks.append((1 << i) | (1 << j))
-            coefs.append(coef)
-    return (
-        np.asarray(ii, dtype=np.int64),
-        np.asarray(jj, dtype=np.int64),
-        np.asarray(masks, dtype=np.int64),
-        np.asarray(coefs, dtype=np.float64),
-    )
+
+    diag: np.ndarray
+    hop: sparse.csr_matrix
+    lr: float
+    lower: sparse.csr_matrix | None
+    lower_t: sparse.csr_matrix | None
+
+
+def sector_operator(p: ModelParams, sector: SectorBasis) -> SectorOperator:
+    """Build the factorized sector operator once; see ``SectorOperator``."""
+    states, lookup = sector.states, sector.index_lookup
+    dim = sector.size
+    lr = -p.j_lr / (2.0 * p.n_sites)
+    diag = diagonal_elements(p, states) - lr * sector.n_up
+
+    rows, cols = [], []
+    for i, j in _bonds(p):
+        anti = np.flatnonzero(((states >> i) ^ (states >> j)) & 1)
+        rows.append(lookup[states[anti] ^ ((1 << i) | (1 << j))])
+        cols.append(anti)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    hop = sparse.csr_matrix((np.full(rows.shape[0], -p.alpha / 2.0), (rows, cols)),
+                            shape=(dim, dim))
+
+    lower = lower_t = None
+    if lr != 0.0 and sector.n_up > 0:
+        site, col = np.nonzero((states[None, :] >> np.arange(p.n_sites)[:, None]) & 1)
+        targets = states[col] ^ (1 << site)
+        below, row = np.unique(targets, return_inverse=True)
+        lower = sparse.csr_matrix((np.ones(row.shape[0]), (row, col)),
+                                  shape=(below.shape[0], dim))
+        lower_t = lower.T.tocsr()
+    return SectorOperator(diag, hop, lr, lower, lower_t)
 
 
 def diagonal_elements(p: ModelParams, states: np.ndarray) -> np.ndarray:
@@ -155,63 +178,63 @@ def diagonal_elements(p: ModelParams, states: np.ndarray) -> np.ndarray:
 def build_dense_hamiltonian(p: ModelParams) -> np.ndarray:
     """Dense 2^N x 2^N matrix of H in bitmask ordering.
 
-    Real symmetric; commutes with total sz, so it is block diagonal when the
-    basis is permuted into magnetization-sector order.
+    Real symmetric; commutes with total sz, so it is assembled from the
+    magnetization-sector blocks and is block diagonal once the basis is
+    permuted into sector order.
     """
     if p.n_sites > DENSE_FULL_LIMIT:
         raise SizeExceeded(
             f"dense Hamiltonian limited to n_sites <= {DENSE_FULL_LIMIT}, got {p.n_sites}"
         )
     dim = 1 << p.n_sites
-    states = np.arange(dim, dtype=np.int64)
     h = np.zeros((dim, dim))
-    h[states, states] = diagonal_elements(p, states)
-    ii, jj, masks, coefs = pair_tables(p)
-    for idx in range(ii.shape[0]):
-        bi = (states >> ii[idx]) & 1
-        bj = (states >> jj[idx]) & 1
-        src = states[bi != bj]
-        h[src ^ masks[idx], src] += coefs[idx]
+    for sector in magnetization_sectors(p.n_sites):
+        h[np.ix_(sector.states, sector.states)] = sector_dense_block(p, sector)
     return h
 
 
 def sector_dense_block(p: ModelParams, sector: SectorBasis) -> np.ndarray:
-    """Dense block of H restricted to one magnetization sector."""
-    dim = sector.size
-    h = np.zeros((dim, dim))
-    h[np.arange(dim), np.arange(dim)] = diagonal_elements(p, sector.states)
-    ii, jj, masks, coefs = pair_tables(p)
-    for idx in range(ii.shape[0]):
-        bi = (sector.states >> ii[idx]) & 1
-        bj = (sector.states >> jj[idx]) & 1
-        anti = bi != bj
-        src = sector.states[anti]
-        h[sector.index_lookup[src ^ masks[idx]], np.flatnonzero(anti)] += coefs[idx]
+    """Dense block of H restricted to one magnetization sector.
+
+    Assembled from the factorized operator: the flip-flop bonds, the diagonal,
+    and the infinite-range term as lr * S+_tot S-_tot = lr * lower^T lower
+    (its -lr * n_up part sits in the diagonal).
+    """
+    op = sector_operator(p, sector)
+    h = op.hop.toarray()
+    h[np.diag_indices_from(h)] += op.diag
+    if op.lower is not None:
+        h += op.lr * (op.lower_t @ op.lower).toarray()
     return h
 
 
 def apply_hamiltonian(p: ModelParams, sector: SectorBasis, v: np.ndarray) -> np.ndarray:
-    """Matrix-free application of the sector block of H to a vector."""
+    """Sector block of H applied to one vector; use make_sector_matvec for many."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (sector.size,):
         raise DimensionMismatch(
             f"vector has shape {v.shape}, sector dimension is {sector.size}"
         )
-    diag = diagonal_elements(p, sector.states)
-    ii, jj, masks, coefs = pair_tables(p)
-    return kernels.sector_matvec(
-        sector.states, sector.index_lookup, diag, ii, jj, masks, coefs, v
-    )
+    return make_sector_matvec(p, sector)(v)
 
 
 def make_sector_matvec(p: ModelParams, sector: SectorBasis):
-    """Closure with precomputed tables; use for repeated matvecs (Lanczos)."""
-    diag = diagonal_elements(p, sector.states)
-    ii, jj, masks, coefs = pair_tables(p)
-    states, lookup = sector.states, sector.index_lookup
+    """Closure applying the sector block of H; use for repeated matvecs (Lanczos).
 
-    def matvec(v: np.ndarray) -> np.ndarray:
-        return kernels.sector_matvec(states, lookup, diag, ii, jj, masks, coefs, v)
+    Builds the factorized operator once.  Each call costs one sparse product
+    with the flip-flop bonds plus the infinite-range term applied as
+    lr * S+_tot (S-_tot v), two single-flip maps through the sector below,
+    in place of N(N-1)/2 pair flips.
+    """
+    op = sector_operator(p, sector)
+    diag, hop, lr, lower, lower_t = op.diag, op.hop, op.lr, op.lower, op.lower_t
+
+    if lower is None:
+        def matvec(v: np.ndarray) -> np.ndarray:
+            return diag * v + hop @ v
+    else:
+        def matvec(v: np.ndarray) -> np.ndarray:
+            return diag * v + hop @ v + lr * (lower_t @ (lower @ v))
 
     return matvec
 

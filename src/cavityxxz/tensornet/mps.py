@@ -122,7 +122,9 @@ def mps_entropy(mps: MatrixProductState, bond: int) -> float:
     """Von Neumann entropy -sum(w ln w) of the Schmidt weights at ``bond``."""
     w = bond_spectrum(mps, bond)
     w = w[w > 1e-16]
-    return max(float(-np.sum(w * np.log(w))), 0.0)
+    s = float(-np.sum(w * np.log(w)))
+    # +0.0, not the -0.0 that -sum gives for a product state
+    return s if s > 0.0 else 0.0
 
 
 def entropy_profile(mps: MatrixProductState) -> list[float]:

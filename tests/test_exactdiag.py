@@ -100,7 +100,8 @@ def test_full_spectrum_equals_union_of_sector_spectra():
 def test_entropy_product_state():
     state = sector_ground_state(ModelParams(0.5, 0.0, 8), 8)
     for cut in (1, 4, 7):
-        assert cut_entanglement_entropy(state, cut) <= 1e-12
+        s = cut_entanglement_entropy(state, cut)
+        assert s == 0.0 and math.copysign(1.0, s) == 1.0
 
 
 def test_entropy_two_site_bell_value():

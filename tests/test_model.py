@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 from conftest import kron_hamiltonian
 
-from cavityxxz import kernels
 from cavityxxz.errors import DimensionMismatch, InvalidParams, SizeExceeded
 from cavityxxz.model import (
     ModelParams,
     apply_hamiltonian,
     build_dense_hamiltonian,
-    diagonal_elements,
     magnetization_sectors,
-    pair_tables,
+    make_sector_matvec,
     polarized_phase_boundary,
     sector_basis,
     sector_dense_block,
@@ -43,6 +41,10 @@ def test_periodic_wrap_bond():
     p = ModelParams(0.9, 0.4, 4, boundary="periodic")
     assert np.abs(build_dense_hamiltonian(p)
                   - kron_hamiltonian(0.9, 0.4, 4, "periodic")).max() < 1e-12
+    # N = 2: the wrap bond doubles the single bond, flip-flop and ZZ alike
+    p = ModelParams(0.9, 0.4, 2, boundary="periodic")
+    assert np.abs(build_dense_hamiltonian(p)
+                  - kron_hamiltonian(0.9, 0.4, 2, "periodic")).max() < 1e-12
 
 
 def test_classical_ising_limit():
@@ -140,24 +142,20 @@ def test_apply_dimension_mismatch():
         apply_hamiltonian(p, sector_basis(4, 2), np.ones(3))
 
 
-def test_kernel_backends_agree():
-    p = ModelParams(1.4, 0.9, 10)
-    basis = sector_basis(10, 5)
-    diag = diagonal_elements(p, basis.states)
-    ii, jj, masks, coefs = pair_tables(p)
-    v = np.random.default_rng(3).standard_normal(basis.size)
-    ref = kernels._matvec_numpy(basis.states, basis.index_lookup, diag,
-                                ii, jj, masks, coefs, v)
-    out = kernels.sector_matvec(basis.states, basis.index_lookup, diag,
-                                ii, jj, masks, coefs, v)
-    assert np.abs(out - ref).max() < 1e-13
-
-
-def test_pair_tables_drop_long_range_at_zero_j():
-    ii, _, _, _ = pair_tables(ModelParams(1.0, 0.0, 6))
-    assert len(ii) == 5  # bonds only
-    ii, _, _, _ = pair_tables(ModelParams(1.0, 0.3, 6))
-    assert len(ii) == 15  # all pairs
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("j", [0.0, 0.7, -0.6])
+def test_factorized_operator_every_sector(boundary, j):
+    # J = 0 and n_up = 0 take the branch without a lowering map
+    n, alpha = 8, 1.3
+    p = ModelParams(alpha, j, n, boundary=boundary)
+    full = kron_hamiltonian(alpha, j, n, boundary)
+    rng = np.random.default_rng(5)
+    for basis in magnetization_sectors(n):
+        ref = full[np.ix_(basis.states, basis.states)]
+        v = rng.standard_normal(basis.size)
+        assert np.abs(apply_hamiltonian(p, basis, v) - ref @ v).max() < 1e-12
+        assert np.abs(make_sector_matvec(p, basis)(v) - ref @ v).max() < 1e-12
+        assert np.abs(sector_dense_block(p, basis) - ref).max() < 1e-12
 
 
 def test_polarized_boundary():

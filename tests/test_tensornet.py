@@ -76,7 +76,10 @@ def test_random_mps_right_canonical():
 def test_bond_dim_one_is_product_state():
     mps = random_mps(6, 1, seed=5)
     assert all(d == 1 for d in mps.bond_dims)
-    assert all(mps_entropy(mps, b) == 0.0 for b in range(1, 6))
+    # +0.0 exactly: a -0.0 would be written as "-0.0" into sweep records
+    for b in range(1, 6):
+        s = mps_entropy(mps, b)
+        assert s == 0.0 and math.copysign(1.0, s) == 1.0
 
 
 def test_center_moves_preserve_state():
