@@ -118,8 +118,8 @@ def order_parameters(sz_profile, cpm) -> tuple[float, float]:
     return sigma_z_mean, float(plateau)
 
 
-def classify_phase(c_fit, sigma_z_mean: float, xy_plateau: float | None = None) -> str:
-    """Label a phase point from its fitted c and order parameters.
+def classify_phase(c_fit, sigma_z_mean: float) -> str:
+    """Label a phase point from its fitted c and the bulk magnetization.
 
     FM: polarized (sigma_z_mean > 0.5) with c below the FM threshold;
     XY_SSB: c > 1 + margin; TLL: c within the margin of 1 and small

@@ -82,7 +82,7 @@ def _build_parser() -> _Parser:
 
     p_cls = sub.add_parser("classify", help="label a phase point from its diagnostics")
     common(p_cls)
-    p_cls.add_argument("input", nargs="?", help="JSON with c, sigma_z_mean, xy_plateau")
+    p_cls.add_argument("input", nargs="?", help="JSON with c and sigma_z_mean")
 
     p_cav = sub.add_parser("cavity", help="cavity mapping and master-equation runs")
     common(p_cav)
@@ -267,8 +267,7 @@ def _cmd_classify(args) -> int:
     cfg = section_with_defaults(_sections(args), "classify", overrides)
     point = rec.load_json(cfg["input"])
     c = point["c"] if "c" in point else point["c_fit"]["c"]
-    label = classify_phase(float(c), float(point["sigma_z_mean"]),
-                           point.get("xy_plateau"))
+    label = classify_phase(float(c), float(point["sigma_z_mean"]))
     payload = dict(point, label=label)
     _emit(args, payload, "classified.json")
     return 0

@@ -3,8 +3,9 @@
 Sweeps optimize a two-site tensor at every bond with an iterative extremal
 eigensolver warm-started from the current state, then split it by SVD with a
 discarded-weight cut.  The bond-dimension schedule grows per sweep;
-convergence is declared when the energy change between consecutive full
-sweeps drops below ``energy_tol``.
+convergence is declared when the energy change between two consecutive full
+sweeps, both run at the last bond dimension of the schedule, drops below
+``energy_tol``.
 """
 
 from __future__ import annotations
@@ -58,12 +59,27 @@ class DmrgReport:
     seed: int = 0
 
 
+def _mpo_matrix(w):
+    """W[w, s', s, w'] as the (s' w', w s) matrix that acts on adjacent (w, s) axes."""
+    return w.transpose(1, 3, 0, 2).reshape(w.shape[1] * w.shape[3], w.shape[0] * w.shape[2])
+
+
 def _local_matvec(lenv, w1, w2, renv, theta):
-    t = np.tensordot(lenv, theta, ([2], [0]))      # (bra, w, s1, s2, ket_r)
-    t = np.tensordot(t, w1, ([1, 2], [0, 2]))      # (bra, s2, ket_r, s1', w)
-    t = np.tensordot(t, w2, ([4, 1], [0, 2]))      # (bra, ket_r, s1', s2', w)
-    t = np.tensordot(t, renv, ([1, 4], [2, 1]))    # (bra, s1', s2', bra_r)
-    return t
+    """H_eff theta in the order L.theta -> W1 -> W2 -> R.
+
+    Every step is a (batched) matrix product on axes that are already
+    adjacent, so no chi^2-sized intermediate is copied by a transpose; R is
+    read in place as a transposed GEMM operand.
+    """
+    a, w, b = lenv.shape
+    _, s1, s2, c = theta.shape
+    d, x, _ = renv.shape
+    v = w1.shape[3]
+    t = lenv.reshape(a * w, b) @ theta.reshape(b, s1 * s2 * c)   # (bra, w, s1, s2, ket_r)
+    t = _mpo_matrix(w1) @ t.reshape(a, w * s1, s2 * c)            # (bra, s1', v, s2, ket_r)
+    t = _mpo_matrix(w2) @ t.reshape(-1, v * s2, c)                # (bra s1', s2', x, ket_r)
+    t = t.reshape(-1, x * c) @ renv.reshape(d, x * c).T           # (bra s1' s2', bra_r)
+    return t.reshape(a, w1.shape[1], w2.shape[1], d)
 
 
 def _lanczos_warm(apply_h, v0, tol, max_iter=_LOCAL_MAX_ITER):
@@ -105,15 +121,18 @@ def _lanczos_warm(apply_h, v0, tol, max_iter=_LOCAL_MAX_ITER):
     return theta, vec / np.linalg.norm(vec)
 
 
+def _dense_heff(lenv, w1, w2, renv):
+    """The two-site effective Hamiltonian as a dense (dim, dim) matrix."""
+    heff = np.einsum("awb,wstv,vuxz,czd->asucbtxd", lenv, w1, w2, renv, optimize=True)
+    dim = lenv.shape[0] * w1.shape[1] * w2.shape[1] * renv.shape[0]
+    return heff.reshape(dim, dim)
+
+
 def _solve_local(lenv, w1, w2, renv, theta0, tol):
     """Lowest eigenpair of the two-site effective Hamiltonian."""
     shape = theta0.shape
-    dim = theta0.size
-    if dim <= _DENSE_LOCAL_DIM:
-        heff = np.einsum("awb,wstv,vuxz,czd->asucbtxd", lenv, w1, w2, renv,
-                         optimize=True)
-        heff = heff.reshape(dim, dim)
-        evals, evecs = np.linalg.eigh(heff)
+    if theta0.size <= _DENSE_LOCAL_DIM:
+        evals, evecs = np.linalg.eigh(_dense_heff(lenv, w1, w2, renv))
         return float(evals[0]), evecs[:, 0].reshape(shape)
 
     def apply_h(x):
@@ -201,7 +220,9 @@ def dmrg_ground_state(mpo: MatrixProductOperator, config: DmrgConfig,
 
         energies.append(expectation(mps, mpo))
         max_disc_last_sweep = max_disc
-        if len(energies) > 1 and abs(energies[-1] - energies[-2]) < config.energy_tol:
+        # both compared sweeps must have run at the final bond dimension
+        if (sweep >= len(config.max_bond_dims)
+                and abs(energies[-1] - energies[-2]) < config.energy_tol):
             converged = True
             break
 

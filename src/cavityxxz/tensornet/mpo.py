@@ -98,7 +98,8 @@ def _advance(env: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
     t = np.tensordot(env, a, ([2], [0]))        # (bra, w, s_ket, ket')
     t = np.tensordot(t, w, ([1, 2], [0, 2]))    # (bra, ket', s_out, w')
     t = np.tensordot(a, t, ([0, 1], [0, 2]))    # (bra', ket', w')
-    return t.transpose(0, 2, 1)
+    # stored C-ordered so the local matvec reads it as a matrix without a copy
+    return np.ascontiguousarray(t.transpose(0, 2, 1))
 
 
 def _advance_right(env: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from cavityxxz.tensornet import (
     mps_observables,
     random_mps,
 )
+from cavityxxz.tensornet.dmrg import _dense_heff, _local_matvec
 
 SMALL = DmrgConfig(max_bond_dims=(16, 32, 64), max_sweeps=25)
 
@@ -31,6 +32,35 @@ def test_config_validation():
         DmrgConfig(truncation_cut=1e-5)
     with pytest.raises(InvalidParams):
         DmrgConfig(max_sweeps=0)
+
+
+@pytest.mark.parametrize("j,site,dl,dr", [
+    (0.5, 3, 3, 5),   # bulk tensors, MPO bond 7
+    (0.0, 3, 3, 5),   # bulk tensors, MPO bond 5
+    (0.5, 0, 1, 5),   # first tensor, 1 x ... boundary
+    (0.5, 6, 5, 1),   # last tensor, ... x 1 boundary
+    (0.0, 6, 3, 1),
+])
+def test_local_matvec_matches_dense_heff(j, site, dl, dr):
+    mpo = build_mpo(ModelParams(1.5, j, 8))
+    w1, w2 = mpo.tensors[site], mpo.tensors[site + 1]
+    rng = np.random.default_rng(site)
+    lenv = rng.standard_normal((dl, w1.shape[0], dl))
+    renv = rng.standard_normal((dr, w2.shape[3], dr))
+    theta = rng.standard_normal((dl, 2, 2, dr))
+    out = _local_matvec(lenv, w1, w2, renv, theta)
+    assert out.shape == theta.shape
+    ref = _dense_heff(lenv, w1, w2, renv) @ theta.ravel()
+    assert np.abs(out.ravel() - ref).max() < 1e-12
+
+
+def test_no_convergence_while_schedule_ramps():
+    # a product state reaches its energy in the first sweep; convergence
+    # still waits for two sweeps at the last bond dimension
+    config = DmrgConfig(max_bond_dims=(4, 8, 16), max_sweeps=10)
+    _, (_, report) = run(0.5, 0.0, 12, config=config)
+    assert report.converged
+    assert report.n_sweeps >= 4
 
 
 def test_polarized_ground_state():

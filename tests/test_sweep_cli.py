@@ -60,6 +60,22 @@ def test_run_point_labels_critical_and_broken_phases():
     assert ssb["xy_plateau"] > 0.1
 
 
+def test_run_point_enforces_truncation_cut():
+    settings = dict(FAST, chi_max=8)
+    record = run_point(1.5, 0.5, (16, 24, 32), settings, base_seed=0)
+    for entry in record["sizes"]:
+        assert entry["max_truncation_error"] > settings["truncation_cut"]
+        assert entry["status"] == "truncation_exceeded"
+    # no size is left for the c fit
+    assert record["status"] == "failed"
+    assert record["c"] is None and record["label"] is None
+    # sizes up to 7 fit in chi 8 exactly; only N = 16 is cut and left out of the fit
+    record = run_point(1.5, 0.5, (5, 6, 7, 16), settings, base_seed=0)
+    assert [e["status"] for e in record["sizes"]] == ["ok"] * 3 + ["truncation_exceeded"]
+    assert record["status"] == "partial"
+    assert record["c"] is not None
+
+
 def test_run_point_captures_errors():
     bad = dict(FAST, chi_max=0)  # invalid DMRG config must not escape
     record = run_point(0.5, 0.5, (12,), bad, base_seed=0)

@@ -17,7 +17,8 @@ from cavityxxz.tensornet import (
     random_mps,
     save_mps,
 )
-from cavityxxz.tensornet.mps import center_to, entropy_profile
+from cavityxxz.tensornet import mps as mps_mod
+from cavityxxz.tensornet.mps import center_to, entropy_profile, two_point
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -152,6 +153,16 @@ def test_observables_against_dense():
             src = states[ok]
             ref = vec[src ^ (1 << i) ^ (1 << j)] @ vec[src]
         assert abs(obs.cpm[(i, j)] - ref) < 1e-11
+
+
+@pytest.mark.parametrize("i,j", [(0, 1), (3, 4), (6, 7), (0, 7)])
+def test_two_point_against_state_vector(i, j):
+    n = 8
+    mps = random_mps(n, 16, seed=21)
+    vec = mps_to_dense(mps)
+    for op_i, op_j in [(mps_mod.SZ, mps_mod.SZ), (mps_mod.SP, mps_mod.SM)]:
+        ref = vec @ site_op(op_i, i, n) @ site_op(op_j, j, n) @ vec
+        assert abs(two_point(mps, op_i, op_j, i, j) - ref) < 1e-12
 
 
 def test_polarized_product_observables():
