@@ -207,6 +207,7 @@ def _cmd_dmrg(args) -> int:
         "energy": report.energy,
         "energies_per_sweep": report.energies_per_sweep,
         "converged": report.converged,
+        "status": report.status,
         "n_sweeps": report.n_sweeps,
         "max_truncation_error": report.max_truncation_error,
         "s_half": report.entropy_profile[p.n_sites // 2 - 1],

@@ -29,7 +29,7 @@ SCHEMAS: dict[str, dict[str, Option]] = {
         "j": Option("float", 0.0),
         "n": Option("int"),
         "n_up": Option("int", None),
-        "method": Option("str", "auto", choices=("auto", "dense", "lanczos")),
+        "method": Option("str", "auto", choices=("auto", "dense")),
         "cut": Option("int", None),
     },
     "spinwave": {

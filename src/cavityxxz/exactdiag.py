@@ -13,11 +13,11 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidCut, NoConvergence, SizeExceeded
+from .krylov import converged, lowest_eigenpair
 from .model import (
     ModelParams,
     SectorBasis,
     make_sector_matvec,
-    magnetization_sectors,
     sector_basis,
     sector_dense_block,
 )
@@ -71,52 +71,17 @@ class GroundStateReport:
 
 def lanczos_ground(matvec, dim: int, seed: int = 0, tol: float = LANCZOS_TOL,
                    max_iter: int = LANCZOS_MAX_ITER):
-    """Lowest eigenpair by Lanczos with full reorthogonalization.
+    """Lowest eigenpair by Lanczos from a seeded random start.
 
-    Full reorthogonalization is affordable at desk-scale dimensions and
-    eliminates ghost eigenvalues; the start vector is seeded for determinism.
-    Raises NoConvergence if the residual stalls above tolerance.
+    The seed makes the start vector, and so the result, deterministic.
+    Raises NoConvergence if the residual is still above tolerance when the
+    budget of ``max_iter`` matvecs runs out.
     """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    if dim == 1:
-        theta = float(matvec(np.ones(1))[0])
-        return theta, np.ones(1)
-
-    basis = np.empty((min(max_iter + 1, dim), dim))
-    basis[0] = v
-    alphas: list[float] = []
-    betas: list[float] = []
-    residual = np.inf
-    w = matvec(v)
-    for it in range(min(max_iter, dim)):
-        a = float(v @ w)
-        alphas.append(a)
-        w = w - a * v
-        if it > 0:
-            w = w - betas[-1] * basis[it - 1]
-        # full reorthogonalization against all stored vectors
-        w -= basis[: it + 1].T @ (basis[: it + 1] @ w)
-        b = float(np.linalg.norm(w))
-
-        t = np.diag(alphas)
-        if betas:
-            off = np.array(betas)
-            t += np.diag(off, 1) + np.diag(off, -1)
-        evals, evecs = np.linalg.eigh(t)
-        theta = float(evals[0])
-        y = evecs[:, 0]
-        residual = abs(b * y[-1])
-        if residual <= tol * max(1.0, abs(theta)) or b < 1e-14 or it + 1 == dim:
-            vec = basis[: it + 1].T @ y
-            vec /= np.linalg.norm(vec)
-            return theta, vec
-        betas.append(b)
-        v = w / b
-        basis[it + 1] = v
-        w = matvec(v)
-    raise NoConvergence(max_iter, residual)
+    v0 = np.random.default_rng(seed).standard_normal(dim)
+    energy, vec, iterations, residual = lowest_eigenpair(matvec, v0, tol, max_iter)
+    if not converged(residual, energy, tol):
+        raise NoConvergence(iterations, residual)
+    return energy, vec
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
@@ -128,14 +93,12 @@ def sector_ground_state(p: ModelParams, n_up: int, method: str = "auto",
                         seed: int = 0) -> SectorState:
     """Lowest eigenpair of one magnetization block.
 
-    method 'auto' uses the dense solver up to dimension 4096 and Lanczos
-    beyond; 'dense' / 'lanczos' force a path (for cross-validation).
+    method 'auto' uses Lanczos at every dimension; 'dense' diagonalizes the
+    block (up to DENSE_SECTOR_LIMIT) as the cross-check.
     """
     basis = sector_basis(p.n_sites, n_up)
     dim = basis.size
-    if method == "auto":
-        method = "dense" if dim <= DENSE_SECTOR_LIMIT else "lanczos"
-    if method not in ("dense", "lanczos"):
+    if method not in ("auto", "dense"):
         raise ValueError(f"unknown method {method!r}")
     matvec = make_sector_matvec(p, basis)
     if method == "dense":

@@ -87,10 +87,6 @@ def run_point(alpha: float, j: float, sizes, settings: dict, base_seed: int,
             lo, hi = bulk_window(int(n))
             obs = mps_observables(mps, pairs=[(lo, hi - 1)])
             sigma_z_mean, plateau = order_parameters(obs.sz, obs.cpm)
-            if report.max_truncation_error > cfg.truncation_cut:
-                status = "truncation_exceeded"
-            else:
-                status = "ok" if report.converged else "not_converged"
             entry.update(
                 energy=report.energy,
                 s_half=report.entropy_profile[int(n) // 2 - 1],
@@ -99,9 +95,9 @@ def run_point(alpha: float, j: float, sizes, settings: dict, base_seed: int,
                 converged=report.converged,
                 max_truncation_error=report.max_truncation_error,
                 n_sweeps=report.n_sweeps,
-                status=status,
+                status=report.status,
             )
-            if status == "ok":
+            if report.status == "ok":
                 series.append((int(n), entry["s_half"]))
         except Exception as exc:  # captured per point, never dropped
             entry.update(status=f"error:{type(exc).__name__}", message=str(exc))

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InvalidParams, NotConverged
+from ..krylov import lowest_eigenpair
 from .mpo import MatrixProductOperator, _advance, _advance_right, expectation
 from .mps import MatrixProductState, entropy_profile, random_mps
 
@@ -50,10 +51,17 @@ class DmrgConfig:
 
 @dataclass(frozen=True, eq=False)
 class DmrgReport:
+    """Outcome of a DMRG run.
+
+    status is 'truncation_exceeded' when the last sweep discarded more weight
+    than ``truncation_cut``, else 'ok' or 'not_converged'.
+    """
+
     energy: float
     energies_per_sweep: list[float]
     max_truncation_error: float
     converged: bool
+    status: str
     entropy_profile: list[float] = field(repr=False)
     n_sweeps: int = 0
     seed: int = 0
@@ -83,42 +91,12 @@ def _local_matvec(lenv, w1, w2, renv, theta):
 
 
 def _lanczos_warm(apply_h, v0, tol, max_iter=_LOCAL_MAX_ITER):
-    """Lowest eigenpair by Lanczos warm-started from v0, full reorthogonalization.
+    """Lowest eigenpair by Lanczos warm-started from v0; never raises.
 
     Capped iteration count: an unconverged local solve still lowers the
     Rayleigh quotient, and the outer sweeps polish the rest.
     """
-    dim = v0.size
-    max_iter = min(max_iter, dim)
-    v = v0 / np.linalg.norm(v0)
-    basis = np.empty((max_iter, dim))
-    basis[0] = v
-    alphas: list[float] = []
-    betas: list[float] = []
-    w = apply_h(v)
-    theta, y = 0.0, np.ones(1)
-    for it in range(max_iter):
-        a = float(v @ w)
-        alphas.append(a)
-        w = w - a * v
-        if it > 0:
-            w = w - betas[-1] * basis[it - 1]
-        w -= basis[: it + 1].T @ (basis[: it + 1] @ w)
-        b = float(np.linalg.norm(w))
-        t = np.diag(alphas)
-        if betas:
-            off = np.array(betas)
-            t += np.diag(off, 1) + np.diag(off, -1)
-        evals, evecs = np.linalg.eigh(t)
-        theta, y = float(evals[0]), evecs[:, 0]
-        if abs(b * y[-1]) <= tol * max(1.0, abs(theta)) or b < 1e-13 or it + 1 == max_iter:
-            break
-        betas.append(b)
-        v = w / b
-        basis[it + 1] = v
-        w = apply_h(v)
-    vec = basis[: len(alphas)].T @ y
-    return theta, vec / np.linalg.norm(vec)
+    return lowest_eigenpair(apply_h, v0, tol, max_iter)[:2]
 
 
 def _dense_heff(lenv, w1, w2, renv):
@@ -229,12 +207,17 @@ def dmrg_ground_state(mpo: MatrixProductOperator, config: DmrgConfig,
     if strict and not converged:
         raise NotConverged(config.max_sweeps)
 
+    if max_disc_last_sweep > config.truncation_cut:
+        status = "truncation_exceeded"
+    else:
+        status = "ok" if converged else "not_converged"
     final_energy = expectation(mps, energy_mpo) if energy_mpo is not None else energies[-1]
     report = DmrgReport(
         energy=float(final_energy),
         energies_per_sweep=energies,
         max_truncation_error=max_disc_last_sweep,
         converged=converged,
+        status=status,
         entropy_profile=entropy_profile(mps),
         n_sweeps=len(energies),
         seed=config.seed,

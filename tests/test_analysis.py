@@ -127,8 +127,7 @@ def test_effective_charge_non_decreasing_in_coupling():
     for j in (0.0, 0.25, 0.5, 1.0):
         points = []
         for n in (8, 10, 12, 14):
-            state = sector_ground_state(ModelParams(1.5, j, n), n // 2,
-                                        method="lanczos", seed=1)
+            state = sector_ground_state(ModelParams(1.5, j, n), n // 2, seed=1)
             points.append((n, cut_entanglement_entropy(state, n // 2)))
         fits.append(fit_central_charge(points))
     for a, b in zip(fits, fits[1:]):

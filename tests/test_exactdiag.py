@@ -30,23 +30,38 @@ def test_two_site_analytic_block():
 def test_lanczos_matches_dense():
     p = ModelParams(1.5, 0.5, 10)
     dense = sector_ground_state(p, 5, method="dense")
-    lan = sector_ground_state(p, 5, method="lanczos", seed=11)
+    lan = sector_ground_state(p, 5, seed=11)
     assert abs(lan.energy - dense.energy) < 1e-9
     # same state up to sign convention (both are sign-fixed)
     assert np.abs(lan.amplitudes - dense.amplitudes).max() < 1e-6
+
+
+@pytest.mark.parametrize("alpha,j", [(1.5, 0.5), (2.0, 0.0)])
+def test_auto_matches_dense_in_every_sector(alpha, j):
+    p = ModelParams(alpha, j, 12)
+    auto = global_ground_state(p)
+    dense = global_ground_state(p, method="dense")
+    assert sorted(auto.sector_energies) == list(range(13))
+    for n_up, e in dense.sector_energies.items():
+        assert abs(auto.sector_energies[n_up] - e) < 1e-10
+    assert auto.sector == dense.sector
+    # the winning state itself, not only its energy
+    assert abs(abs(auto.state.amplitudes @ dense.state.amplitudes) - 1.0) < 1e-12
+    assert np.abs(auto.observables.cpm - dense.observables.cpm).max() < 1e-8
+    assert np.abs(auto.observables.czz - dense.observables.czz).max() < 1e-8
 
 
 @pytest.mark.parametrize("alpha,j,n_up", [(1.2, 0.3, 4), (0.7, -0.4, 3), (2.0, 1.0, 5)])
 def test_lanczos_variational_bound(alpha, j, n_up):
     p = ModelParams(alpha, j, 10)
     dense = sector_ground_state(p, n_up, method="dense")
-    lan = sector_ground_state(p, n_up, method="lanczos")
+    lan = sector_ground_state(p, n_up)
     assert lan.energy >= dense.energy - 1e-9
 
 
 def test_residual_invariant():
     p = ModelParams(1.5, 0.5, 10)
-    state = sector_ground_state(p, 5, method="lanczos")
+    state = sector_ground_state(p, 5)
     matvec = make_sector_matvec(p, state.basis)
     resid = np.linalg.norm(matvec(state.amplitudes) - state.energy * state.amplitudes)
     assert resid <= 1e-8

@@ -157,6 +157,15 @@ def test_cli_dmrg_with_checkpoint(tmp_path):
     assert load_mps(ckpt).n_sites == 10
 
 
+def test_cli_dmrg_reports_truncation_status(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[dmrg]\nalpha = 1.5\nj = 0.5\nn = 16\nchi_max = 8\n")
+    assert main(["dmrg", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    payload = load_json(tmp_path / "dmrg.json")
+    assert payload["max_truncation_error"] > 1e-6
+    assert payload["status"] == "truncation_exceeded"
+
+
 def test_cli_sweep_requires_out_and_runs(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[sweep]\nalpha_values = 0.5\nj_values = 0.5\nsizes = 12, 16, 24\n"
