@@ -21,16 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatch, InvalidParams, SizeExceeded, TraceDrift
+from .model import SM, SZ, ModelParams, build_dense_hamiltonian
 
 FULL_SITE_LIMIT = 4
 FULL_PHOTON_LIMIT = 8
 EFFECTIVE_SITE_LIMIT = 6
 TRACE_TOL = 1e-6
 MAX_SAMPLES = 2001
-
-_SZ = np.diag([-1.0, 1.0]).astype(complex)
-_SP = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |up><down|
-_SM = _SP.conj().T
 
 
 @dataclass(frozen=True)
@@ -70,7 +67,11 @@ class EffectiveParams:
 
 
 def effective_params(cp: CavityParams) -> EffectiveParams:
-    """Map cavity parameters to the dimensionless chain couplings."""
+    """Map cavity parameters to the dimensionless chain couplings.
+
+    ``j_over_n`` is the paper's +4 g^2 / (Delta_c J_z), but the integrators
+    evolve the model at J/N = -8 g^2 Delta_c / ((4 Delta_c^2 + kappa^2) J_z).
+    """
     if cp.delta_c == 0:
         raise InvalidParams("delta_c must be nonzero for the dispersive mapping")
     return EffectiveParams(
@@ -95,21 +96,16 @@ class Trajectory:
 
 
 def _site_op(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    # site 0 is the least significant factor of the tensor product
-    return np.kron(np.kron(np.eye(1 << (n_sites - 1 - site)), op), np.eye(1 << site))
+    # site 0 is the least significant factor; complex like the density matrix
+    return np.kron(np.kron(np.eye(1 << (n_sites - 1 - site)), op),
+                   np.eye(1 << site)).astype(complex)
 
 
-def _xxz_hamiltonian(alpha: float, n_sites: int) -> np.ndarray:
-    """H_XXZ / J_z = -(1/4) sum_bonds [sz sz + alpha (sx sx + sy sy)]."""
-    dim = 1 << n_sites
-    h = np.zeros((dim, dim), dtype=complex)
-    for i in range(n_sites - 1):
-        szi = _site_op(_SZ, i, n_sites)
-        szj = _site_op(_SZ, i + 1, n_sites)
-        spi = _site_op(_SP, i, n_sites)
-        spj = _site_op(_SP, i + 1, n_sites)
-        h += -0.25 * (szi @ szj) - 0.5 * alpha * (spi @ spj.conj().T + spi.conj().T @ spj)
-    return h
+def _chain_hamiltonian(alpha: float, j_lr: float, n_sites: int) -> np.ndarray:
+    """The model's H in units of J_z; zero for one spin, which has no bond."""
+    if n_sites == 1:
+        return np.zeros((2, 2), dtype=complex)
+    return build_dense_hamiltonian(ModelParams(alpha, j_lr, n_sites)).astype(complex)
 
 
 def _initial_spin_state(n_sites: int, which: str) -> int:
@@ -130,15 +126,11 @@ def initial_density_matrix(n_sites: int, which: str = "neel") -> np.ndarray:
 
 
 def effective_hamiltonian(cp: CavityParams) -> np.ndarray:
-    """Spin-only Hamiltonian (units of J_z) after eliminating the cavity."""
+    """Spin-only H (units of J_z) after eliminating the cavity: the model at
+    J = -2N prefactor / J_z."""
     prefactor = 4.0 * cp.g**2 * cp.delta_c / (4.0 * cp.delta_c**2 + cp.kappa**2)
-    h = _xxz_hamiltonian(cp.j_xx / cp.j_z, cp.n_sites)
-    sp_ops = [_site_op(_SP, i, cp.n_sites) for i in range(cp.n_sites)]
-    for i in range(cp.n_sites):
-        for j in range(cp.n_sites):
-            if i != j:
-                h += (prefactor / cp.j_z) * (sp_ops[i] @ sp_ops[j].conj().T)
-    return h
+    j_lr = -2.0 * cp.n_sites * prefactor / cp.j_z
+    return _chain_hamiltonian(cp.j_xx / cp.j_z, j_lr, cp.n_sites)
 
 
 def _rk4(rho, deriv, n_steps, dt, observe, stride):
@@ -211,21 +203,17 @@ def simulate_full(cp: CavityParams, n_max: int, t_end: float, dt: float,
     def lift_ph(op):
         return np.kron(id_spin, op)
 
-    alpha = cp.j_xx / cp.j_z
-    h = lift_spin(_xxz_hamiltonian(alpha, n))
+    h = lift_spin(_chain_hamiltonian(cp.j_xx / cp.j_z, 0.0, n))
     h += (cp.delta_c / cp.j_z) * lift_ph(a.conj().T @ a)
-    coupling = np.zeros_like(h)
-    for i in range(n):
-        sm = lift_spin(_site_op(_SM, i, n))
-        coupling += lift_ph(a.conj().T) @ sm + lift_ph(a) @ sm.conj().T
-    h += (cp.g / cp.j_z) * coupling
+    s_minus = lift_spin(sum(_site_op(SM, i, n) for i in range(n)))
+    h += (cp.g / cp.j_z) * (lift_ph(a.conj().T) @ s_minus + lift_ph(a) @ s_minus.conj().T)
 
     spin0 = _initial_spin_state(n, initial)
     psi = np.zeros(spin_dim * nph, dtype=complex)
     psi[spin0 * nph] = 1.0  # photon vacuum
     rho0 = np.outer(psi, psi.conj())
 
-    observables = [lift_spin(_site_op(_SZ, i, n)) for i in range(n)]
+    observables = [lift_spin(_site_op(SZ, i, n)) for i in range(n)]
     observables.append(lift_ph(a.conj().T @ a))
     jumps = [(cp.kappa / cp.j_z, lift_ph(a))] if cp.kappa > 0 else []
     rows, meta, rho_final = _integrate(rho0, h, jumps, t_end, dt, observables,
@@ -260,10 +248,10 @@ def simulate_effective(cp: CavityParams, t_end: float, dt: float,
     gamma = 2.0 * cp.g**2 * cp.kappa / (4.0 * cp.delta_c**2 + cp.kappa**2)
 
     h = effective_hamiltonian(cp)
-    s_minus = sum(_site_op(_SM, i, n) for i in range(n))
+    s_minus = sum(_site_op(SM, i, n) for i in range(n))
     rho0 = initial_density_matrix(n, initial)
 
-    observables = [_site_op(_SZ, i, n) for i in range(n)]
+    observables = [_site_op(SZ, i, n) for i in range(n)]
     jumps = []
     if include_dissipator and gamma > 0:
         jumps.append((2.0 * gamma / cp.j_z, s_minus))

@@ -36,8 +36,8 @@ from .spinwave import (
     fm_spectrum,
     xy_spectrum,
 )
-from .sweep import PIN_STRENGTH, SweepGrid, chi_schedule, run_sweep
-from .tensornet import DmrgConfig, build_mpo, dmrg_ground_state, save_mps
+from .sweep import SweepGrid, pinned_ground_state, run_sweep
+from .tensornet import save_mps
 
 
 class _Parser(argparse.ArgumentParser):
@@ -190,16 +190,7 @@ def _cmd_dmrg(args) -> int:
     cfg = section_with_defaults(_sections(args), "dmrg",
                                 {"alpha": args.alpha, "j": args.j, "n": args.n})
     p = ModelParams(cfg["alpha"], cfg["j"], cfg["n"])
-    mpo = build_mpo(p)
-    sweep_mpo = build_mpo(p, pin_strength=PIN_STRENGTH) if cfg["pin"] == "on" else mpo
-    dconf = DmrgConfig(
-        max_bond_dims=chi_schedule(cfg["chi_max"]),
-        truncation_cut=cfg["truncation_cut"],
-        energy_tol=cfg["energy_tol"],
-        max_sweeps=cfg["max_sweeps"],
-        seed=args.seed,
-    )
-    mps, report = dmrg_ground_state(sweep_mpo, dconf, energy_mpo=mpo)
+    mps, report = pinned_ground_state(p, cfg, args.seed)
     if cfg["checkpoint"]:
         save_mps(mps, cfg["checkpoint"])
     payload = {

@@ -46,7 +46,6 @@ SCHEMAS: dict[str, dict[str, Option]] = {
         "max_sweeps": Option("int", 30),
         "truncation_cut": Option("float", 1e-6),
         "energy_tol": Option("float", 1e-9),
-        "pin": Option("str", "on", choices=("on", "off")),
         "checkpoint": Option("str", None),
     },
     "sweep": {

@@ -33,6 +33,12 @@ PERIODIC = "periodic"
 # Memory guard for the full 2^N dense matrix.
 DENSE_FULL_LIMIT = 14
 
+# Single-site operators of every backend, local basis 0 = down, 1 = up.
+ID2 = np.eye(2)
+SZ = np.diag([-1.0, 1.0])
+SP = np.array([[0.0, 0.0], [1.0, 0.0]])  # raises down -> up
+SM = SP.T
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -80,6 +86,15 @@ class SectorBasis:
         return idx
 
 
+def amplitudes(p: ModelParams) -> tuple[float, float, float]:
+    """(zz, flip, collective), the one place H's coefficients are written.
+
+    zz multiplies sz_i sz_j and flip sigma+_i sigma-_j + h.c. on each bond;
+    collective multiplies sigma+_i sigma-_j + h.c. on each pair i < j.
+    """
+    return -0.25, -p.alpha / 2.0, -p.j_lr / (2.0 * p.n_sites)
+
+
 def _popcounts(x: np.ndarray, n_bits: int) -> np.ndarray:
     if hasattr(np, "bitwise_count"):
         return np.bitwise_count(x)
@@ -122,10 +137,10 @@ class SectorOperator:
     = 2 sum_{i<j} (sigma+_i sigma-_j + h.c.) = 2 (S+_tot S-_tot - n_up), where
     S+-_tot = sum_i sigma+-_i.  So the sector block is
 
-        diag + hop + lr * lower^T lower,      lr = -J / 2N,
+        diag + hop + lr * lower^T lower,      lr = collective amplitude,
 
     with ``diag`` the ZZ diagonal minus lr * n_up, ``hop`` the nearest-neighbor
-    flip-flop bonds (amplitude -alpha/2 each), ``lower`` the map S-_tot into
+    flip-flop bonds (the flip amplitude each), ``lower`` the map S-_tot into
     the sector with one fewer up spin (``None`` when n_up = 0 or J = 0) and
     ``lower_t`` its transpose, S+_tot back.  The rows of ``lower`` index the
     lower sector's states in ascending order; only lower^T lower is used, so
@@ -143,7 +158,7 @@ def sector_operator(p: ModelParams, sector: SectorBasis) -> SectorOperator:
     """Build the factorized sector operator once; see ``SectorOperator``."""
     states, lookup = sector.states, sector.index_lookup
     dim = sector.size
-    lr = -p.j_lr / (2.0 * p.n_sites)
+    _, flip, lr = amplitudes(p)
     diag = diagonal_elements(p, states) - lr * sector.n_up
 
     rows, cols = [], []
@@ -152,7 +167,7 @@ def sector_operator(p: ModelParams, sector: SectorBasis) -> SectorOperator:
         rows.append(lookup[states[anti] ^ ((1 << i) | (1 << j))])
         cols.append(anti)
     rows, cols = np.concatenate(rows), np.concatenate(cols)
-    hop = sparse.csr_matrix((np.full(rows.shape[0], -p.alpha / 2.0), (rows, cols)),
+    hop = sparse.csr_matrix((np.full(rows.shape[0], flip), (rows, cols)),
                             shape=(dim, dim))
 
     lower = lower_t = None
@@ -169,9 +184,10 @@ def sector_operator(p: ModelParams, sector: SectorBasis) -> SectorOperator:
 def diagonal_elements(p: ModelParams, states: np.ndarray) -> np.ndarray:
     """Diagonal of H over the given basis states (the ZZ part)."""
     z = 2.0 * ((states[:, None] >> np.arange(p.n_sites)[None, :]) & 1) - 1.0
+    zz = amplitudes(p)[0]
     diag = np.zeros(states.shape[0])
     for i, j in _bonds(p):
-        diag -= 0.25 * z[:, i] * z[:, j]
+        diag += zz * z[:, i] * z[:, j]
     return diag
 
 
@@ -245,7 +261,7 @@ def polarized_phase_boundary(j_lr: float) -> float:
     From the one-magnon energies of H (periodic, large N): the uniform magnon
     costs 1 - alpha - J/2 while finite-momentum magnons cost 1 - alpha cos(q),
     so the polarized state destabilizes at alpha = 1 - J/2 for J >= 0 and at
-    alpha = 1 for J <= 0.  Used to decide when DMRG runs need the degeneracy-
-    breaking pinning field.
+    alpha = 1 for J <= 0.  A closed-form reference only: no solver reads it,
+    and every DMRG run applies the pinning field whatever the phase.
     """
     return 1.0 - j_lr / 2.0 if j_lr >= 0.0 else 1.0

@@ -31,12 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
+from .analysis import PHASE_FM, PHASE_TLL, PHASE_XY
 from .errors import InvalidParams, ModeInstability, Unclassifiable
 from .model import PERIODIC, ModelParams
-
-PHASE_FM = "FM"
-PHASE_TLL = "TLL"
-PHASE_XY = "XY_SSB"
 
 STABILITY_TOL = 1e-12
 # ln N slope above which the excitation-density series counts as divergent;

@@ -5,13 +5,14 @@ entropy series, fits the effective central charge, computes order parameters
 from the largest converged size, classifies the phase, and persists one
 record.  Points are independent (optionally run in a process pool), seeded
 deterministically from the base seed and their grid indices, and skipped on
-rerun when their record file already exists.
+rerun when their record file exists and was computed under the same settings.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,15 +58,30 @@ def point_seed(base_seed: int, *indices: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def pinned_ground_state(p: ModelParams, settings: dict, seed: int):
+    """DMRG of H with a PIN_STRENGTH sz field on site 0; reports the unpinned energy.
+
+    The field breaks exact spin-flip ties and is invisible elsewhere.
+    ``settings`` holds chi_max, truncation_cut, energy_tol and max_sweeps.
+    """
+    mpo = build_mpo(p)
+    cfg = DmrgConfig(
+        max_bond_dims=chi_schedule(settings["chi_max"]),
+        truncation_cut=settings["truncation_cut"],
+        energy_tol=settings["energy_tol"],
+        max_sweeps=settings["max_sweeps"],
+        seed=seed,
+    )
+    return dmrg_ground_state(build_mpo(p, pin_strength=PIN_STRENGTH), cfg, energy_mpo=mpo)
+
+
 def run_point(alpha: float, j: float, sizes, settings: dict, base_seed: int,
               indices=(0, 0), config: dict | None = None) -> dict:
     """Compute one sweep record (pure function of its arguments).
 
-    Every DMRG run sweeps with a 1e-8 sz pinning field on site 0 (breaking
-    exact spin-flip ties; invisible elsewhere) and reports the unpinned
-    energy.  Sizes that did not converge, or whose discarded weight in the
-    last sweep exceeds ``settings["truncation_cut"]``, are flagged and
-    excluded from the c fit.
+    Every size runs ``pinned_ground_state``.  Sizes that did not converge,
+    or whose discarded weight in the last sweep exceeds
+    ``settings["truncation_cut"]``, are flagged and excluded from the c fit.
     """
     size_entries = []
     series = []
@@ -73,17 +89,7 @@ def run_point(alpha: float, j: float, sizes, settings: dict, base_seed: int,
         seed = point_seed(base_seed, indices[0], indices[1], il)
         entry = {"n": int(n), "seed": seed}
         try:
-            p = ModelParams(alpha, j, int(n))
-            mpo = build_mpo(p)
-            pinned = build_mpo(p, pin_strength=PIN_STRENGTH)
-            cfg = DmrgConfig(
-                max_bond_dims=chi_schedule(settings["chi_max"]),
-                truncation_cut=settings["truncation_cut"],
-                energy_tol=settings["energy_tol"],
-                max_sweeps=settings["max_sweeps"],
-                seed=seed,
-            )
-            mps, report = dmrg_ground_state(pinned, cfg, energy_mpo=mpo)
+            mps, report = pinned_ground_state(ModelParams(alpha, j, int(n)), settings, seed)
             lo, hi = bulk_window(int(n))
             obs = mps_observables(mps, pairs=[(lo, hi - 1)])
             sigma_z_mean, plateau = order_parameters(obs.sz, obs.cpm)
@@ -141,14 +147,20 @@ def record_filename(alpha: float, j: float) -> str:
     return f"point_a{alpha:.6g}_j{j:.6g}.json"
 
 
+def _fingerprint(task: dict) -> dict:
+    """What a record depends on besides (alpha, j), in its JSON form."""
+    return rec.quantize({k: task[k] for k in ("base_seed", "indices", "sizes", "settings")})
+
+
 def run_sweep(grid: SweepGrid, settings: dict, out_dir, base_seed: int = 0,
               workers: int = 1, formats=("csv", "json"),
               config: dict | None = None) -> dict:
     """Run the full grid; resumable and deterministic.
 
-    Existing record files are loaded instead of recomputed; aggregates are
-    rewritten from the full record set each time.  Records are written only
-    by this process, in grid order.
+    A record file is reused only when the fingerprint in its ``meta`` (base
+    seed, grid indices, sizes, settings) matches.  Records are written by this
+    process in grid order, each once it and every point before it are done, so
+    a crash keeps them.  Aggregates are rewritten from the full record set.
     """
     records_dir = os.path.join(out_dir, "records")
     os.makedirs(records_dir, exist_ok=True)
@@ -156,24 +168,21 @@ def run_sweep(grid: SweepGrid, settings: dict, out_dir, base_seed: int = 0,
     tasks, cached = [], {}
     for ia, alpha in enumerate(grid.alpha_values):
         for ij, j in enumerate(grid.j_values):
-            path = os.path.join(records_dir, record_filename(alpha, j))
-            if os.path.exists(path):
-                cached[(ia, ij)] = rec.load_json(path)
-            else:
-                tasks.append({
-                    "alpha": alpha, "j": j, "sizes": tuple(grid.sizes),
+            task = {"alpha": alpha, "j": j, "sizes": tuple(grid.sizes),
                     "settings": settings, "base_seed": base_seed,
-                    "indices": (ia, ij), "config": config or {},
-                })
+                    "indices": (ia, ij), "config": config or {}}
+            path = os.path.join(records_dir, record_filename(alpha, j))
+            record = rec.load_json(path) if os.path.exists(path) else {}
+            if record.get("meta", {}).get("fingerprint") == _fingerprint(task):
+                cached[(ia, ij)] = record
+            else:
+                tasks.append(task)
 
-    if tasks:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run_point_task, tasks))
-        else:
-            results = [_run_point_task(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        results = pool.map(_run_point_task, tasks) if pool else map(_run_point_task, tasks)
         for task, record in zip(tasks, results):
-            cached[tuple(task["indices"])] = record
+            record["meta"]["fingerprint"] = _fingerprint(task)
+            cached[task["indices"]] = record
             path = os.path.join(records_dir, record_filename(task["alpha"], task["j"]))
             rec.write_json(record, path)
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InvalidParams
-from ..model import OPEN, ModelParams
-from .mps import ID2, SM, SP, SZ, MatrixProductState
+from ..model import ID2, OPEN, SM, SP, SZ, ModelParams, amplitudes
+from .mps import MatrixProductState
 
 
 class MatrixProductOperator:
@@ -43,6 +43,7 @@ def build_mpo(p: ModelParams, pin_strength: float = 0.0) -> MatrixProductOperato
     if p.boundary != OPEN:
         raise InvalidParams("the MPO encodes the open-boundary Hamiltonian")
     n = p.n_sites
+    zz, flip, collective = amplitudes(p)
     long_range = p.j_lr != 0.0
     dim = 7 if long_range else 5
     last = dim - 1
@@ -54,18 +55,17 @@ def build_mpo(p: ModelParams, pin_strength: float = 0.0) -> MatrixProductOperato
     w[0, :, :, 1] = SP
     w[0, :, :, 2] = SM
     w[0, :, :, 3] = SZ
-    w[1, :, :, last] = -(p.alpha / 2.0) * SM
-    w[2, :, :, last] = -(p.alpha / 2.0) * SP
-    w[3, :, :, last] = -0.25 * SZ
+    w[1, :, :, last] = flip * SM
+    w[2, :, :, last] = flip * SP
+    w[3, :, :, last] = zz * SZ
     if long_range:
         # uniform channels: forward with identity, terminate on any later site
-        amp = -p.j_lr / (2.0 * n)
         w[0, :, :, 4] = SP
         w[0, :, :, 5] = SM
         w[4, :, :, 4] = ID2
         w[5, :, :, 5] = ID2
-        w[4, :, :, last] = amp * SM
-        w[5, :, :, last] = amp * SP
+        w[4, :, :, last] = collective * SM
+        w[5, :, :, last] = collective * SP
 
     first = w[0:1].copy()
     if pin_strength != 0.0:

@@ -15,11 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidBond, InvalidParams
-
-ID2 = np.eye(2)
-SZ = np.diag([-1.0, 1.0])
-SP = np.array([[0.0, 0.0], [1.0, 0.0]])  # raises down -> up
-SM = SP.T
+from ..model import SM, SP, SZ
 
 _MAGIC = b"CXMPS"
 _VERSION = 1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import kron_hamiltonian
 from scipy.linalg import expm
 
 from cavityxxz.cavity import (
@@ -10,7 +11,6 @@ from cavityxxz.cavity import (
     initial_density_matrix,
     simulate_effective,
     simulate_full,
-    _xxz_hamiltonian,
     _initial_spin_state,
 )
 from cavityxxz.errors import GridMismatch, InvalidParams, SizeExceeded, TraceDrift
@@ -66,7 +66,7 @@ def test_decoupled_limit_matches_unitary_oracle():
     # g = 0: spins evolve under H_XXZ alone; compare against expm evolution
     cp = CavityParams(g=0.0, delta_c=10.0, kappa=1.0, j_xx=1.3, j_z=1.0, n_sites=3)
     traj = simulate_full(cp, n_max=2, t_end=4.0, dt=1e-3)
-    h = _xxz_hamiltonian(1.3, 3)
+    h = kron_hamiltonian(1.3, 0.0, 3)
     psi = np.zeros(8, dtype=complex)
     psi[_initial_spin_state(3, "neel")] = 1.0
     for k, t in enumerate(traj.times):
@@ -78,6 +78,16 @@ def test_decoupled_limit_matches_unitary_oracle():
                          np.eye(1 << i))
             ref = (phi.conj() @ sz @ phi).real
             assert abs(traj.sigma_z[k, i] - ref) < 1e-8
+
+
+@pytest.mark.parametrize("delta_c, kappa", [(25.0, 2.0), (-7.0, 3.0), (10.0, 0.0)])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_effective_hamiltonian_is_the_model_at_mapped_j(n, delta_c, kappa):
+    # the eliminated exchange is the model's collective term at J = -2N prefactor/J_z
+    cp = CavityParams(g=0.3, delta_c=delta_c, kappa=kappa, j_xx=1.4, j_z=0.8, n_sites=n)
+    prefactor = 4 * cp.g**2 * cp.delta_c / (4 * cp.delta_c**2 + cp.kappa**2)
+    ref = kron_hamiltonian(cp.j_xx / cp.j_z, -2 * n * prefactor / cp.j_z, n)
+    assert np.abs(effective_hamiltonian(cp) - ref).max() < 1e-12
 
 
 def test_single_spin_purcell_decay():

@@ -30,7 +30,6 @@ def test_minimal_config_fills_documented_defaults(tmp_path):
     assert cfg["max_sweeps"] == 30
     assert cfg["truncation_cut"] == 1e-6
     assert cfg["energy_tol"] == 1e-9
-    assert cfg["pin"] == "on"
 
 
 def test_unknown_key_is_an_error_with_context(tmp_path):

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from cavityxxz import sweep
 from cavityxxz.cli import main
 from cavityxxz.errors import InvalidParams
 from cavityxxz.records import load_json
@@ -103,6 +104,52 @@ def test_run_sweep_resume_and_determinism(tmp_path):
     assert strip_meta(other) == strip_meta(record)
     assert (out_a / "records.csv").read_bytes() == (out_b / "records.csv").read_bytes()
     assert (out_a / "records.json").read_bytes() == (out_b / "records.json").read_bytes()
+
+
+def test_run_sweep_keeps_finished_records_after_a_crash(tmp_path, monkeypatch):
+    calls = []
+    run_task = sweep._run_point_task
+
+    def crash_on_second(task):
+        calls.append(task["j"])
+        if len(calls) == 2:
+            raise RuntimeError("worker died")
+        return run_task(task)
+
+    monkeypatch.setattr(sweep, "_run_point_task", crash_on_second)
+    grid = SweepGrid((0.5,), (0.0, 0.5, 1.0), (8, 10, 12))
+    with pytest.raises(RuntimeError):
+        run_sweep(grid, FAST, tmp_path, base_seed=5, workers=1)
+    records = tmp_path / "records"
+    assert (records / "point_a0.5_j0.json").exists()
+    assert not (records / "point_a0.5_j0.5.json").exists()
+    assert not (records / "point_a0.5_j1.json").exists()
+
+
+def test_run_sweep_recomputes_records_from_other_settings(tmp_path):
+    grid = SweepGrid((0.5,), (0.5,), (8, 10, 12))
+    path = tmp_path / "records" / "point_a0.5_j0.5.json"
+    run_sweep(grid, FAST, tmp_path, base_seed=11)
+    seed_11 = load_json(path)
+
+    # same seed and settings: skipped, the file is left as it was
+    before = path.read_bytes()
+    assert run_sweep(grid, FAST, tmp_path, base_seed=11)["computed"] == 0
+    assert path.read_bytes() == before
+
+    # another chi_max, then another base seed: each is recomputed, not reused
+    other = dict(FAST, chi_max=16)
+    assert run_sweep(grid, other, tmp_path, base_seed=11)["computed"] == 1
+    assert load_json(path)["meta"]["fingerprint"]["settings"]["chi_max"] == 16
+    assert run_sweep(grid, other, tmp_path, base_seed=12)["computed"] == 1
+    seed_12 = load_json(path)
+    assert seed_12["seed"] == 12 and seed_11["seed"] == 11
+
+    # a record without a fingerprint is recomputed too
+    del seed_12["meta"]["fingerprint"]
+    path.write_text(json.dumps(seed_12))
+    assert run_sweep(grid, other, tmp_path, base_seed=12)["computed"] == 1
+    assert strip_meta(load_json(path)) == strip_meta(seed_12)
 
 
 def test_run_sweep_parallel_matches_serial(tmp_path):
