@@ -10,7 +10,9 @@ the evolution is almost unitary and the chain realizes the dimensionless
 model with J/N = 4 g^2 / (Delta_c J_z) and alpha = J_xx / J_z.
 
 Both the full spin+photon master equation and the reduced spin-only one are
-integrated with fixed-step RK4 so the elimination can be validated directly.
+written once as a sparse Liouvillian L on the flattened density matrix and
+stepped by the same fixed-step RK4, so the elimination can be validated
+directly.
 All rates are scaled by J_z; trajectory times are the dimensionless tau = J_z t.
 """
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .errors import GridMismatch, InvalidParams, SizeExceeded, TraceDrift
 from .model import SM, SZ, ModelParams, build_dense_hamiltonian
@@ -146,36 +149,57 @@ def _rk4(rho, deriv, n_steps, dt, observe, stride):
     return samples, rho
 
 
-def _integrate(rho0, hamiltonian, jumps, t_end, dt, observables, meta):
-    """Fixed-step RK4 for drho/dt = -i[H, rho] + sum_k rate (J rho J+ - {J+J, rho}/2).
+def _liouvillian(hamiltonian, jumps) -> sparse.csr_matrix:
+    """Sparse generator L of drho/dt = -i[H, rho] + sum_k rate (J rho J+ - {J+J, rho}/2).
 
-    If the trace drifts beyond tolerance the step is halved once and the run
-    repeated; a second failure raises TraceDrift.
+    L acts on the row-major flattened rho, where A rho B becomes
+    kron(A, B^T) vec(rho); it is never formed densely.
     """
-    jump_pairs = [(rate, op, op.conj().T @ op) for rate, op in jumps]
+    eye = sparse.identity(hamiltonian.shape[0], format="csr")
+    h = sparse.csr_matrix(hamiltonian)
+    lv = -1j * (sparse.kron(h, eye) - sparse.kron(eye, h.T))
+    for rate, op in jumps:
+        op = sparse.csr_matrix(op)
+        decay = op.conj().T @ op
+        lv = lv + rate * (sparse.kron(op, op.conj())
+                          - 0.5 * sparse.kron(decay, eye) - 0.5 * sparse.kron(eye, decay.T))
+    return lv.tocsr()
 
-    def deriv(rho):
-        out = -1j * (hamiltonian @ rho - rho @ hamiltonian)
-        for rate, op, opdag_op in jump_pairs:
-            out += rate * (op @ rho @ op.conj().T
-                           - 0.5 * (opdag_op @ rho + rho @ opdag_op))
-        return out
+
+def _evolve(rho0, hamiltonian, jumps, t_end, dt, sigma_z_ops, photon_op, meta) -> Trajectory:
+    """Fixed-step RK4 of the master equation on L from ``_liouvillian``.
+
+    Each sample reads tr rho and every observable with one product: tr(rho O)
+    is vec(O^T) . vec(rho).  If the trace drifts beyond tolerance the step is
+    halved once and the run repeated; a second failure raises TraceDrift.
+    """
+    d = rho0.shape[0]
+    lv = _liouvillian(hamiltonian, jumps)
+    ops = [np.eye(d)] + sigma_z_ops + ([photon_op] if photon_op is not None else [])
+    reads = np.array([op.T.ravel() for op in ops])
+    n = len(sigma_z_ops)
 
     for attempt, h_step in enumerate((dt, dt / 2.0)):
         n_steps = max(1, int(round(t_end / h_step)))
         stride = max(1, n_steps // (MAX_SAMPLES - 1))
 
-        def observe(k, rho, _dt=h_step):
-            row = [k * _dt, abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)]
-            row.extend(np.trace(rho @ ob).real for ob in observables)
-            return row
+        def observe(k, r, _dt=h_step):
+            values = reads @ r
+            trace = values[0]
+            return [k * _dt, abs(trace.real - 1.0) + abs(trace.imag), *values[1:].real]
 
-        samples, rho_final = _rk4(rho0, deriv, n_steps, h_step, observe, stride)
+        samples, r_final = _rk4(rho0.ravel(), lv.dot, n_steps, h_step, observe, stride)
         rows = np.array(samples)
         worst = float(rows[:, 1].max())
         if worst <= TRACE_TOL:
-            meta = dict(meta, dt=h_step, trace_worst=worst, halved=attempt > 0)
-            return rows, meta, rho_final
+            return Trajectory(
+                times=rows[:, 0],
+                sigma_z=rows[:, 2:2 + n],
+                photon=rows[:, 2 + n] if photon_op is not None else None,
+                trace_error=rows[:, 1],
+                meta=dict(meta, dt=h_step, trace_worst=worst, halved=attempt > 0),
+                final_rho=r_final.reshape(d, d),
+            )
     raise TraceDrift(f"trace error {worst:.3e} above {TRACE_TOL} even after halving dt")
 
 
@@ -184,49 +208,29 @@ def simulate_full(cp: CavityParams, n_max: int, t_end: float, dt: float,
     """Integrate the full spin+photon master equation with photon cutoff n_max.
 
     Returns per-site <sz>, the photon number <a+ a>, and the trace error on a
-    shared time grid; times are in units of 1/J_z.
+    shared time grid; times are in units of 1/J_z.  The spin factor is the
+    major one of the spin x photon product basis.
     """
     if cp.n_sites > FULL_SITE_LIMIT:
         raise SizeExceeded(f"full simulation limited to {FULL_SITE_LIMIT} sites")
     if n_max > FULL_PHOTON_LIMIT:
         raise SizeExceeded(f"photon cutoff limited to {FULL_PHOTON_LIMIT}")
     n = cp.n_sites
-    nph = n_max + 1
-    spin_dim = 1 << n
-    a = np.diag(np.sqrt(np.arange(1, nph)), 1).astype(complex)
-    id_ph = np.eye(nph)
-    id_spin = np.eye(spin_dim)
+    a = np.diag(np.sqrt(np.arange(1, n_max + 1)), 1)
+    number = a.T @ a
+    eye_ph, eye_spin = np.eye(n_max + 1), np.eye(1 << n)
+    s_minus = sum(_site_op(SM, i, n) for i in range(n))
 
-    def lift_spin(op):
-        return np.kron(op, id_ph)
-
-    def lift_ph(op):
-        return np.kron(id_spin, op)
-
-    h = lift_spin(_chain_hamiltonian(cp.j_xx / cp.j_z, 0.0, n))
-    h += (cp.delta_c / cp.j_z) * lift_ph(a.conj().T @ a)
-    s_minus = lift_spin(sum(_site_op(SM, i, n) for i in range(n)))
-    h += (cp.g / cp.j_z) * (lift_ph(a.conj().T) @ s_minus + lift_ph(a) @ s_minus.conj().T)
-
-    spin0 = _initial_spin_state(n, initial)
-    psi = np.zeros(spin_dim * nph, dtype=complex)
-    psi[spin0 * nph] = 1.0  # photon vacuum
-    rho0 = np.outer(psi, psi.conj())
-
-    observables = [lift_spin(_site_op(SZ, i, n)) for i in range(n)]
-    observables.append(lift_ph(a.conj().T @ a))
-    jumps = [(cp.kappa / cp.j_z, lift_ph(a))] if cp.kappa > 0 else []
-    rows, meta, rho_final = _integrate(rho0, h, jumps, t_end, dt, observables,
-                                       {"model": "full", "n_max": n_max,
-                                        "initial": initial})
-    return Trajectory(
-        times=rows[:, 0],
-        sigma_z=rows[:, 2:2 + n],
-        photon=rows[:, 2 + n],
-        trace_error=rows[:, 1],
-        meta=meta,
-        final_rho=rho_final,
-    )
+    h = (np.kron(_chain_hamiltonian(cp.j_xx / cp.j_z, 0.0, n), eye_ph)
+         + (cp.delta_c / cp.j_z) * np.kron(eye_spin, number)
+         + (cp.g / cp.j_z) * (np.kron(s_minus, a.T) + np.kron(s_minus.T, a)))
+    vacuum = np.zeros((n_max + 1, n_max + 1))
+    vacuum[0, 0] = 1.0
+    rho0 = np.kron(initial_density_matrix(n, initial), vacuum)
+    jumps = [(cp.kappa / cp.j_z, np.kron(eye_spin, a))] if cp.kappa > 0 else []
+    sigma_z_ops = [np.kron(_site_op(SZ, i, n), eye_ph) for i in range(n)]
+    return _evolve(rho0, h, jumps, t_end, dt, sigma_z_ops, np.kron(eye_spin, number),
+                   {"model": "full", "n_max": n_max, "initial": initial})
 
 
 def simulate_effective(cp: CavityParams, t_end: float, dt: float,
@@ -246,15 +250,9 @@ def simulate_effective(cp: CavityParams, t_end: float, dt: float,
     n = cp.n_sites
     prefactor = 4.0 * cp.g**2 * cp.delta_c / (4.0 * cp.delta_c**2 + cp.kappa**2)
     gamma = 2.0 * cp.g**2 * cp.kappa / (4.0 * cp.delta_c**2 + cp.kappa**2)
-
-    h = effective_hamiltonian(cp)
-    s_minus = sum(_site_op(SM, i, n) for i in range(n))
-    rho0 = initial_density_matrix(n, initial)
-
-    observables = [_site_op(SZ, i, n) for i in range(n)]
     jumps = []
     if include_dissipator and gamma > 0:
-        jumps.append((2.0 * gamma / cp.j_z, s_minus))
+        jumps.append((2.0 * gamma / cp.j_z, sum(_site_op(SM, i, n) for i in range(n))))
     meta = {
         "model": "effective",
         "initial": initial,
@@ -262,15 +260,8 @@ def simulate_effective(cp: CavityParams, t_end: float, dt: float,
         "dropped_onsite_constant": prefactor / cp.j_z * n / 2.0,
         "dropped_uniform_field": prefactor / cp.j_z / 2.0,
     }
-    rows, meta, rho_final = _integrate(rho0, h, jumps, t_end, dt, observables, meta)
-    return Trajectory(
-        times=rows[:, 0],
-        sigma_z=rows[:, 2:2 + n],
-        photon=None,
-        trace_error=rows[:, 1],
-        meta=meta,
-        final_rho=rho_final,
-    )
+    return _evolve(initial_density_matrix(n, initial), effective_hamiltonian(cp), jumps,
+                   t_end, dt, [_site_op(SZ, i, n) for i in range(n)], None, meta)
 
 
 def compare_trajectories(a: Trajectory, b: Trajectory) -> dict:

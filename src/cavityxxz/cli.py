@@ -1,7 +1,8 @@
 """Command-line runner.
 
 Subcommands: ed, spinwave, dmrg, sweep, fit-c, classify, cavity map|simulate|compare.
-Common flags: --config <path>, --out <dir>, --seed <u64>, --workers <n>,
+Every subcommand takes --config <path> and --out <dir>; ed, dmrg, sweep and
+fit-c take --seed <u64>; sweep alone takes --workers <n> and
 --format csv|json|both.  Exit codes: 0 success, 1 configuration error,
 2 systemic runtime error.  Results go to --out as files when given,
 otherwise JSON is printed to stdout.
@@ -49,12 +50,11 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="cavityxxz", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=False):
         p.add_argument("--config", help="config file (sections per subcommand)")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--format", choices=("csv", "json", "both"), default="both")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
 
     def model_flags(p):
         p.add_argument("--alpha", type=float)
@@ -62,7 +62,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--n", type=int)
 
     p_ed = sub.add_parser("ed", help="exact diagonalization at one parameter point")
-    common(p_ed)
+    common(p_ed, seed=True)
     model_flags(p_ed)
 
     p_sw = sub.add_parser("spinwave", help="spin-wave spectra and classification")
@@ -70,14 +70,16 @@ def _build_parser() -> _Parser:
     model_flags(p_sw)
 
     p_dm = sub.add_parser("dmrg", help="single DMRG ground-state run")
-    common(p_dm)
+    common(p_dm, seed=True)
     model_flags(p_dm)
 
     p_sweep = sub.add_parser("sweep", help="phase-diagram sweep over an (alpha, J) grid")
-    common(p_sweep)
+    common(p_sweep, seed=True)
+    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--format", choices=("csv", "json", "both"), default="both")
 
     p_fit = sub.add_parser("fit-c", help="fit S = (c/6) ln L + b to an entropy CSV")
-    common(p_fit)
+    common(p_fit, seed=True)
     p_fit.add_argument("input", nargs="?", help="CSV with columns L, S")
 
     p_cls = sub.add_parser("classify", help="label a phase point from its diagnostics")
@@ -220,9 +222,11 @@ def _cmd_sweep(args) -> int:
           f"= {grid.cardinality} points, sizes {list(cfg['sizes'])}")
     formats = ("csv", "json") if args.format == "both" else (args.format,)
     settings = {k: cfg[k] for k in ("chi_max", "max_sweeps", "truncation_cut", "energy_tol")}
+    os.makedirs(args.out, exist_ok=True)
+    with open(os.path.join(args.out, "sweep.cfg"), "w", encoding="utf-8") as fh:
+        fh.write(emit_config({"sweep": cfg}))
     summary = run_sweep(grid, settings, args.out, base_seed=args.seed,
-                        workers=args.workers, formats=formats,
-                        config={"sweep": {**cfg, "seed": args.seed}})
+                        workers=args.workers, formats=formats)
     sys.stdout.write(rec.dump_json(summary))
     return 0
 

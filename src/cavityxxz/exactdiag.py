@@ -17,6 +17,7 @@ from .krylov import converged, lowest_eigenpair
 from .model import (
     ModelParams,
     SectorBasis,
+    lowering_map,
     make_sector_matvec,
     sector_basis,
     sector_dense_block,
@@ -160,6 +161,7 @@ def schmidt_coefficients(state: SectorState, cut: int) -> np.ndarray:
 
 
 def entropy_from_weights(weights: np.ndarray) -> float:
+    """-sum(w ln w) over the weights above 1e-16; ED cuts and MPS bonds share it."""
     w = weights[weights > 1e-16]
     s = float(-np.sum(w * np.log(w)))
     # +0.0, not the -0.0 that -sum gives for a product state
@@ -177,30 +179,20 @@ def cut_entanglement_entropy(state: SectorState, cut: int) -> float:
 def correlators(state: SectorState) -> Correlators:
     """sz profile, <sz sz>, and <S+ S-> matrices of a sector state.
 
-    Within a fixed-magnetization eigenstate <S+_j> itself vanishes exactly, so
-    transverse (XY) order shows up only as a long-distance plateau of cpm.
+    <S+_i S-_j> = <S-_i psi | S-_j psi>, so cpm = M M^T with row i of M the
+    state S-_i psi in the sector below.  Within a fixed-magnetization
+    eigenstate <S+_j> itself vanishes exactly, so transverse (XY) order shows
+    up only as a long-distance plateau of cpm.
     """
     n = state.params.n_sites
     amps = state.amplitudes
-    states = state.basis.states
-    lookup = state.basis.index_lookup
     prob = amps**2
 
-    bits = (states[:, None] >> np.arange(n)[None, :]) & 1
-    z = 2.0 * bits - 1.0
+    z = 2.0 * ((state.basis.states[:, None] >> np.arange(n)[None, :]) & 1) - 1.0
     sz = prob @ z
-
     czz = z.T @ (prob[:, None] * z)
 
-    cpm = np.zeros((n, n))
-    np.fill_diagonal(cpm, (1.0 + sz) / 2.0)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            # S+_i S-_j needs bit i = 0 and bit j = 1 on the source state
-            ok = (bits[:, i] == 0) & (bits[:, j] == 1)
-            src = states[ok]
-            tgt = lookup[src ^ ((1 << i) | (1 << j))]
-            cpm[i, j] = float(amps[tgt] @ amps[ok])
-    return Correlators(sz=sz, czz=czz, cpm=cpm)
+    site, col, row, n_below = lowering_map(state.basis)
+    lowered = np.zeros((n, n_below))
+    lowered[site, row] = amps[col]
+    return Correlators(sz=sz, czz=czz, cpm=lowered @ lowered.T)

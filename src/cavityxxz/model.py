@@ -172,13 +172,24 @@ def sector_operator(p: ModelParams, sector: SectorBasis) -> SectorOperator:
 
     lower = lower_t = None
     if lr != 0.0 and sector.n_up > 0:
-        site, col = np.nonzero((states[None, :] >> np.arange(p.n_sites)[:, None]) & 1)
-        targets = states[col] ^ (1 << site)
-        below, row = np.unique(targets, return_inverse=True)
+        _, col, row, n_below = lowering_map(sector)
         lower = sparse.csr_matrix((np.ones(row.shape[0]), (row, col)),
-                                  shape=(below.shape[0], dim))
+                                  shape=(n_below, dim))
         lower_t = lower.T.tocsr()
     return SectorOperator(diag, hop, lr, lower, lower_t)
+
+
+def lowering_map(sector: SectorBasis):
+    """Every single flip sigma-_site |states[col]> = |row>, row in the sector below.
+
+    Returns (site, col, row, n_below): one entry per up spin of every basis
+    state, with row indexing the n_below states of the sector with one fewer
+    up spin in ascending order.
+    """
+    states = sector.states
+    site, col = np.nonzero((states[None, :] >> np.arange(sector.n_sites)[:, None]) & 1)
+    below, row = np.unique(states[col] ^ (1 << site), return_inverse=True)
+    return site, col, row, below.shape[0]
 
 
 def diagonal_elements(p: ModelParams, states: np.ndarray) -> np.ndarray:

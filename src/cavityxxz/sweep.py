@@ -76,7 +76,7 @@ def pinned_ground_state(p: ModelParams, settings: dict, seed: int):
 
 
 def run_point(alpha: float, j: float, sizes, settings: dict, base_seed: int,
-              indices=(0, 0), config: dict | None = None) -> dict:
+              indices=(0, 0)) -> dict:
     """Compute one sweep record (pure function of its arguments).
 
     Every size runs ``pinned_ground_state``.  Sizes that did not converge,
@@ -114,7 +114,6 @@ def run_point(alpha: float, j: float, sizes, settings: dict, base_seed: int,
         "alpha": float(alpha),
         "j": float(j),
         "seed": int(base_seed),
-        "config": config or {},
         "sizes": size_entries,
         "meta": {"written_at": rec.timestamp()},
     }
@@ -140,7 +139,7 @@ def run_point(alpha: float, j: float, sizes, settings: dict, base_seed: int,
 
 def _run_point_task(task: dict) -> dict:
     return run_point(task["alpha"], task["j"], task["sizes"], task["settings"],
-                     task["base_seed"], task["indices"], task["config"])
+                     task["base_seed"], task["indices"])
 
 
 def record_filename(alpha: float, j: float) -> str:
@@ -153,8 +152,7 @@ def _fingerprint(task: dict) -> dict:
 
 
 def run_sweep(grid: SweepGrid, settings: dict, out_dir, base_seed: int = 0,
-              workers: int = 1, formats=("csv", "json"),
-              config: dict | None = None) -> dict:
+              workers: int = 1, formats=("csv", "json")) -> dict:
     """Run the full grid; resumable and deterministic.
 
     A record file is reused only when the fingerprint in its ``meta`` (base
@@ -170,7 +168,7 @@ def run_sweep(grid: SweepGrid, settings: dict, out_dir, base_seed: int = 0,
         for ij, j in enumerate(grid.j_values):
             task = {"alpha": alpha, "j": j, "sizes": tuple(grid.sizes),
                     "settings": settings, "base_seed": base_seed,
-                    "indices": (ia, ij), "config": config or {}}
+                    "indices": (ia, ij)}
             path = os.path.join(records_dir, record_filename(alpha, j))
             record = rec.load_json(path) if os.path.exists(path) else {}
             if record.get("meta", {}).get("fingerprint") == _fingerprint(task):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidBond, InvalidParams
+from ..exactdiag import entropy_from_weights
 from ..model import SM, SP, SZ
 
 _MAGIC = b"CXMPS"
@@ -116,11 +117,7 @@ def bond_spectrum(mps: MatrixProductState, bond: int) -> np.ndarray:
 
 def mps_entropy(mps: MatrixProductState, bond: int) -> float:
     """Von Neumann entropy -sum(w ln w) of the Schmidt weights at ``bond``."""
-    w = bond_spectrum(mps, bond)
-    w = w[w > 1e-16]
-    s = float(-np.sum(w * np.log(w)))
-    # +0.0, not the -0.0 that -sum gives for a product state
-    return s if s > 0.0 else 0.0
+    return entropy_from_weights(bond_spectrum(mps, bond))
 
 
 def entropy_profile(mps: MatrixProductState) -> list[float]:

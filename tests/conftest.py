@@ -11,6 +11,8 @@ import numpy as np
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
 SZ = np.diag([-1.0, 1.0]).astype(complex)
+SP = (SX + 1j * SY) / 2.0  # raises down -> up
+SM = (SX - 1j * SY) / 2.0
 
 
 def site_op(op, site, n):

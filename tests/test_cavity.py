@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
-from conftest import kron_hamiltonian
+from conftest import SM, kron_hamiltonian, site_op
+from scipy import sparse
 from scipy.linalg import expm
 
 from cavityxxz.cavity import (
+    FULL_PHOTON_LIMIT,
+    FULL_SITE_LIMIT,
     CavityParams,
     compare_trajectories,
     effective_hamiltonian,
@@ -12,6 +15,7 @@ from cavityxxz.cavity import (
     simulate_effective,
     simulate_full,
     _initial_spin_state,
+    _liouvillian,
 )
 from cavityxxz.errors import GridMismatch, InvalidParams, SizeExceeded, TraceDrift
 
@@ -88,6 +92,52 @@ def test_effective_hamiltonian_is_the_model_at_mapped_j(n, delta_c, kappa):
     prefactor = 4 * cp.g**2 * cp.delta_c / (4 * cp.delta_c**2 + cp.kappa**2)
     ref = kron_hamiltonian(cp.j_xx / cp.j_z, -2 * n * prefactor / cp.j_z, n)
     assert np.abs(effective_hamiltonian(cp) - ref).max() < 1e-12
+
+
+def _full_model(g, delta_c, kappa, n, n_max):
+    a = np.diag(np.sqrt(np.arange(1, n_max + 1)), 1)
+    eye_ph, eye_spin = np.eye(n_max + 1), np.eye(1 << n)
+    s_minus = sum(site_op(SM, i, n) for i in range(n))
+    h = (np.kron(kron_hamiltonian(1.2, 0.0, n), eye_ph) + delta_c * np.kron(eye_spin, a.T @ a)
+         + g * (np.kron(s_minus, a.T) + np.kron(s_minus.conj().T, a)))
+    return h, [(kappa, np.kron(eye_spin, a))]
+
+
+def _effective_model(n):
+    s_minus = sum(site_op(SM, i, n) for i in range(n))
+    return kron_hamiltonian(1.5, 0.3, n).astype(complex), [(0.7, s_minus)]
+
+
+@pytest.mark.parametrize("case", ["full", "effective", "no_jumps"])
+def test_liouvillian_matches_matrix_form(case):
+    if case == "full":
+        h, jumps = _full_model(g=0.4, delta_c=3.0, kappa=1.5, n=2, n_max=3)
+    elif case == "effective":
+        h, jumps = _effective_model(3)
+    else:  # kappa = 0 leaves no jump
+        h, jumps = _full_model(g=0.4, delta_c=3.0, kappa=0.0, n=2, n_max=3)[0], []
+    d = h.shape[0]
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = x + x.conj().T
+    ref = -1j * (h @ rho - rho @ h)
+    for rate, op in jumps:
+        decay = op.conj().T @ op
+        ref += rate * (op @ rho @ op.conj().T - 0.5 * (decay @ rho + rho @ decay))
+    lv = _liouvillian(h, jumps)
+    assert sparse.issparse(lv)
+    assert np.abs((lv @ rho.ravel()).reshape(d, d) - ref).max() < 1e-12
+
+
+def test_full_model_runs_at_the_size_limit():
+    # a dense Liouvillian here would hold (16 * 9)^4 complex entries, 6.9 GB
+    cp = CavityParams(g=0.3, delta_c=5.0, kappa=1.0, j_xx=1.2, j_z=1.0,
+                      n_sites=FULL_SITE_LIMIT)
+    traj = simulate_full(cp, n_max=FULL_PHOTON_LIMIT, t_end=1e-2, dt=1e-3)
+    assert traj.times.shape == (11,)
+    assert traj.final_rho.shape == (144, 144)
+    assert traj.trace_error.max() < 1e-12
+    assert np.abs(traj.sigma_z[0] - [1.0, -1.0, 1.0, -1.0]).max() < 1e-12  # Neel start
 
 
 def test_single_spin_purcell_decay():

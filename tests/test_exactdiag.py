@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import kron_hamiltonian
+from conftest import SM, SP, kron_hamiltonian, site_op
 
 from cavityxxz.errors import InvalidCut
 from cavityxxz.exactdiag import (
@@ -170,6 +170,19 @@ def test_correlators_structure():
     assert np.abs(obs.cpm - obs.cpm.T).max() < 1e-12
     assert np.allclose(np.diag(obs.czz), 1.0, atol=1e-12)
     assert np.allclose(np.diag(obs.cpm), (1.0 + obs.sz) / 2.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_up", [0, 3, 8])
+def test_correlators_cpm_against_dense_state(n_up):
+    n = 8
+    state = sector_ground_state(ModelParams(1.5, 0.5, n), n_up)
+    psi = np.zeros(1 << n)
+    psi[state.basis.states] = state.amplitudes
+    cpm = correlators(state).cpm
+    for i in range(n):
+        for j in range(n):
+            ref = psi @ site_op(SP, i, n) @ site_op(SM, j, n) @ psi
+            assert abs(cpm[i, j] - ref) < 1e-12
 
 
 def test_xy_plateau_vs_tll_decay():

@@ -6,6 +6,7 @@ import pytest
 
 from cavityxxz import sweep
 from cavityxxz.cli import main
+from cavityxxz.config import parse_config
 from cavityxxz.errors import InvalidParams
 from cavityxxz.records import load_json
 from cavityxxz.sweep import SweepGrid, chi_schedule, point_seed, run_point, run_sweep
@@ -223,6 +224,37 @@ def test_cli_sweep_requires_out_and_runs(tmp_path, capsys):
     assert "= 1 points" in printed  # cardinality reported before execution
     assert (tmp_path / "out" / "records.csv").exists()
     assert (tmp_path / "out" / "records.json").exists()
+
+
+def test_resumed_sweep_writes_the_records_of_a_fresh_run(tmp_path, capsys):
+    def sweep_cfg(alphas):
+        cfg = tmp_path / f"sweep_{len(alphas)}.cfg"
+        cfg.write_text(f"[sweep]\nalpha_values = {alphas}\nj_values = 0.5\n"
+                       "sizes = 8, 10, 12\nchi_max = 16\n")
+        return str(cfg)
+
+    resumed, fresh = tmp_path / "resumed", tmp_path / "fresh"
+    assert main(["sweep", "--config", sweep_cfg("0.5"), "--out", str(resumed)]) == 0
+    assert main(["sweep", "--config", sweep_cfg("0.5, 1.5"), "--out", str(resumed)]) == 0
+    assert main(["sweep", "--config", sweep_cfg("0.5, 1.5"), "--out", str(fresh)]) == 0
+    printed = capsys.readouterr().out.split("grid: ")[1:]
+    assert [json.loads(run[run.index("{"):])["computed"] for run in printed] == [1, 1, 2]
+    assert (resumed / "records.json").read_bytes() == (fresh / "records.json").read_bytes()
+    for name in ("point_a0.5_j0.5.json", "point_a1.5_j0.5.json"):
+        assert (strip_meta(load_json(resumed / "records" / name))
+                == strip_meta(load_json(fresh / "records" / name)))
+    # the echoed config lives once per output directory, not in the records
+    assert parse_config(resumed / "sweep.cfg")["sweep"]["alpha_values"] == (0.5, 1.5)
+    assert "config" not in load_json(resumed / "records" / "point_a0.5_j0.5.json")
+
+
+def test_cli_rejects_flags_the_subcommand_does_not_read(tmp_path):
+    spinwave = ["spinwave", "--alpha", "1.5", "--j", "0.5", "--n", "64"]
+    assert main(spinwave + ["--out", str(tmp_path)]) == 0
+    assert main(spinwave + ["--workers", "2"]) == 1
+    assert main(spinwave + ["--seed", "3"]) == 1
+    assert main(["ed", "--alpha", "1.5", "--n", "6", "--format", "csv"]) == 1
+    assert main(["cavity", "map", "--seed", "3"]) == 1
 
 
 def test_cli_fit_and_classify(tmp_path, capsys):
