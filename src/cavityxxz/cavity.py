@@ -69,6 +69,13 @@ class EffectiveParams:
     bad_cavity_ratio: float
 
 
+def _dispersive_rates(cp: CavityParams) -> tuple[float, float]:
+    """Exchange and collective-decay prefactors of the eliminated cavity,
+    4 g^2 Delta_c / (4 Delta_c^2 + kappa^2) and 2 g^2 kappa / (4 Delta_c^2 + kappa^2)."""
+    denominator = 4.0 * cp.delta_c**2 + cp.kappa**2
+    return 4.0 * cp.g**2 * cp.delta_c / denominator, 2.0 * cp.g**2 * cp.kappa / denominator
+
+
 def effective_params(cp: CavityParams) -> EffectiveParams:
     """Map cavity parameters to the dimensionless chain couplings.
 
@@ -80,7 +87,7 @@ def effective_params(cp: CavityParams) -> EffectiveParams:
     return EffectiveParams(
         alpha=cp.j_xx / cp.j_z,
         j_over_n=4.0 * cp.g**2 / (cp.delta_c * cp.j_z),
-        gamma_collective=2.0 * cp.g**2 * cp.kappa / (4.0 * cp.delta_c**2 + cp.kappa**2),
+        gamma_collective=_dispersive_rates(cp)[1],
         unitarity_ratio=cp.delta_c / (cp.kappa / 2.0) if cp.kappa > 0 else np.inf,
         bad_cavity_ratio=cp.kappa / cp.g if cp.g != 0 else np.inf,
     )
@@ -131,8 +138,7 @@ def initial_density_matrix(n_sites: int, which: str = "neel") -> np.ndarray:
 def effective_hamiltonian(cp: CavityParams) -> np.ndarray:
     """Spin-only H (units of J_z) after eliminating the cavity: the model at
     J = -2N prefactor / J_z."""
-    prefactor = 4.0 * cp.g**2 * cp.delta_c / (4.0 * cp.delta_c**2 + cp.kappa**2)
-    j_lr = -2.0 * cp.n_sites * prefactor / cp.j_z
+    j_lr = -2.0 * cp.n_sites * _dispersive_rates(cp)[0] / cp.j_z
     return _chain_hamiltonian(cp.j_xx / cp.j_z, j_lr, cp.n_sites)
 
 
@@ -181,7 +187,7 @@ def _evolve(rho0, hamiltonian, jumps, t_end, dt, sigma_z_ops, photon_op, meta) -
 
     for attempt, h_step in enumerate((dt, dt / 2.0)):
         n_steps = max(1, int(round(t_end / h_step)))
-        stride = max(1, n_steps // (MAX_SAMPLES - 1))
+        stride = -(-n_steps // (MAX_SAMPLES - 1))  # ceiling: at most MAX_SAMPLES samples
 
         def observe(k, r, _dt=h_step):
             values = reads @ r
@@ -248,8 +254,7 @@ def simulate_effective(cp: CavityParams, t_end: float, dt: float,
     if cp.n_sites > EFFECTIVE_SITE_LIMIT:
         raise SizeExceeded(f"effective simulation limited to {EFFECTIVE_SITE_LIMIT} sites")
     n = cp.n_sites
-    prefactor = 4.0 * cp.g**2 * cp.delta_c / (4.0 * cp.delta_c**2 + cp.kappa**2)
-    gamma = 2.0 * cp.g**2 * cp.kappa / (4.0 * cp.delta_c**2 + cp.kappa**2)
+    prefactor, gamma = _dispersive_rates(cp)
     jumps = []
     if include_dissipator and gamma > 0:
         jumps.append((2.0 * gamma / cp.j_z, sum(_site_op(SM, i, n) for i in range(n))))

@@ -26,7 +26,7 @@ from .cavity import (
     simulate_effective,
     simulate_full,
 )
-from .config import emit_config, parse_config, section_with_defaults
+from .config import DMRG_OPTIONS, emit_config, parse_config, section_with_defaults
 from .errors import CavityXXZError, InvalidParams, ParseError, Unclassifiable
 from .exactdiag import cut_entanglement_entropy, global_ground_state, sector_ground_state
 from .model import PERIODIC, ModelParams
@@ -37,8 +37,8 @@ from .spinwave import (
     fm_spectrum,
     xy_spectrum,
 )
-from .sweep import SweepGrid, pinned_ground_state, run_sweep
-from .tensornet import save_mps
+from .sweep import SweepGrid, run_sweep
+from .tensornet import DmrgConfig, dmrg_ground_state, save_mps
 
 
 class _Parser(argparse.ArgumentParser):
@@ -192,7 +192,8 @@ def _cmd_dmrg(args) -> int:
     cfg = section_with_defaults(_sections(args), "dmrg",
                                 {"alpha": args.alpha, "j": args.j, "n": args.n})
     p = ModelParams(cfg["alpha"], cfg["j"], cfg["n"])
-    mps, report = pinned_ground_state(p, cfg, args.seed)
+    settings = {k: cfg[k] for k in DMRG_OPTIONS}
+    mps, report = dmrg_ground_state(p, DmrgConfig(**settings, seed=args.seed))
     if cfg["checkpoint"]:
         save_mps(mps, cfg["checkpoint"])
     payload = {
@@ -221,7 +222,7 @@ def _cmd_sweep(args) -> int:
     print(f"grid: {len(cfg['alpha_values'])} alpha x {len(cfg['j_values'])} J "
           f"= {grid.cardinality} points, sizes {list(cfg['sizes'])}")
     formats = ("csv", "json") if args.format == "both" else (args.format,)
-    settings = {k: cfg[k] for k in ("chi_max", "max_sweeps", "truncation_cut", "energy_tol")}
+    settings = {k: cfg[k] for k in DMRG_OPTIONS}
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "sweep.cfg"), "w", encoding="utf-8") as fh:
         fh.write(emit_config({"sweep": cfg}))

@@ -23,6 +23,14 @@ class Option:
     choices: tuple = ()
 
 
+# The DmrgConfig fields a run takes from its [dmrg] or [sweep] section.
+DMRG_OPTIONS: dict[str, Option] = {
+    "chi_max": Option("int", 128),
+    "max_sweeps": Option("int", 30),
+    "truncation_cut": Option("float", 1e-6),
+    "energy_tol": Option("float", 1e-9),
+}
+
 SCHEMAS: dict[str, dict[str, Option]] = {
     "ed": {
         "alpha": Option("float"),
@@ -42,20 +50,14 @@ SCHEMAS: dict[str, dict[str, Option]] = {
         "alpha": Option("float"),
         "j": Option("float", 0.0),
         "n": Option("int"),
-        "chi_max": Option("int", 128),
-        "max_sweeps": Option("int", 30),
-        "truncation_cut": Option("float", 1e-6),
-        "energy_tol": Option("float", 1e-9),
+        **DMRG_OPTIONS,
         "checkpoint": Option("str", None),
     },
     "sweep": {
         "alpha_values": Option("floats"),
         "j_values": Option("floats"),
         "sizes": Option("ints", (16, 24, 32, 48, 64)),
-        "chi_max": Option("int", 128),
-        "max_sweeps": Option("int", 30),
-        "truncation_cut": Option("float", 1e-6),
-        "energy_tol": Option("float", 1e-9),
+        **DMRG_OPTIONS,
     },
     "cavity": {
         "g": Option("float"),

@@ -95,21 +95,12 @@ def amplitudes(p: ModelParams) -> tuple[float, float, float]:
     return -0.25, -p.alpha / 2.0, -p.j_lr / (2.0 * p.n_sites)
 
 
-def _popcounts(x: np.ndarray, n_bits: int) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(x)
-    counts = np.zeros_like(x)
-    for b in range(n_bits):
-        counts += (x >> b) & 1
-    return counts
-
-
 def sector_basis(n_sites: int, n_up: int) -> SectorBasis:
     """Build the sorted basis of all bitmasks with popcount n_up."""
     if not 0 <= n_up <= n_sites:
         raise InvalidParams(f"n_up must lie in 0..{n_sites}, got {n_up}")
     everything = np.arange(1 << n_sites, dtype=np.int64)
-    states = everything[_popcounts(everything, n_sites) == n_up]
+    states = everything[np.bitwise_count(everything) == n_up]
     lookup = np.full(1 << n_sites, -1, dtype=np.int64)
     lookup[states] = np.arange(states.shape[0])
     assert states.shape[0] == comb(n_sites, n_up)

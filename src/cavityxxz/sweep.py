@@ -21,9 +21,7 @@ from . import records as rec
 from .analysis import bulk_window, classify_phase, fit_central_charge, order_parameters
 from .errors import InsufficientPoints, InvalidParams
 from .model import ModelParams
-from .tensornet import DmrgConfig, build_mpo, dmrg_ground_state, mps_observables
-
-PIN_STRENGTH = 1e-8
+from .tensornet import DmrgConfig, dmrg_ground_state, mps_observables
 
 
 @dataclass(frozen=True)
@@ -41,47 +39,20 @@ class SweepGrid:
         return len(self.alpha_values) * len(self.j_values)
 
 
-def chi_schedule(chi_max: int) -> tuple:
-    """Doubling schedule 16, 32, ... capped at chi_max."""
-    chis = []
-    chi = min(16, chi_max)
-    while chi < chi_max:
-        chis.append(chi)
-        chi *= 2
-    chis.append(chi_max)
-    return tuple(chis)
-
-
 def point_seed(base_seed: int, *indices: int) -> int:
     """Per-run seed independent of worker scheduling."""
     ss = np.random.SeedSequence([int(base_seed)] + [int(i) for i in indices])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def pinned_ground_state(p: ModelParams, settings: dict, seed: int):
-    """DMRG of H with a PIN_STRENGTH sz field on site 0; reports the unpinned energy.
-
-    The field breaks exact spin-flip ties and is invisible elsewhere.
-    ``settings`` holds chi_max, truncation_cut, energy_tol and max_sweeps.
-    """
-    mpo = build_mpo(p)
-    cfg = DmrgConfig(
-        max_bond_dims=chi_schedule(settings["chi_max"]),
-        truncation_cut=settings["truncation_cut"],
-        energy_tol=settings["energy_tol"],
-        max_sweeps=settings["max_sweeps"],
-        seed=seed,
-    )
-    return dmrg_ground_state(build_mpo(p, pin_strength=PIN_STRENGTH), cfg, energy_mpo=mpo)
-
-
 def run_point(alpha: float, j: float, sizes, settings: dict, base_seed: int,
               indices=(0, 0)) -> dict:
     """Compute one sweep record (pure function of its arguments).
 
-    Every size runs ``pinned_ground_state``.  Sizes that did not converge,
-    or whose discarded weight in the last sweep exceeds
-    ``settings["truncation_cut"]``, are flagged and excluded from the c fit.
+    ``settings`` holds the ``DmrgConfig`` fields but the seed, which comes
+    from ``point_seed``.  Sizes that did not converge, or whose discarded
+    weight in the last sweep exceeds ``settings["truncation_cut"]``, are
+    flagged and excluded from the c fit.
     """
     size_entries = []
     series = []
@@ -89,7 +60,8 @@ def run_point(alpha: float, j: float, sizes, settings: dict, base_seed: int,
         seed = point_seed(base_seed, indices[0], indices[1], il)
         entry = {"n": int(n), "seed": seed}
         try:
-            mps, report = pinned_ground_state(ModelParams(alpha, j, int(n)), settings, seed)
+            mps, report = dmrg_ground_state(ModelParams(alpha, j, int(n)),
+                                            DmrgConfig(**settings, seed=seed))
             lo, hi = bulk_window(int(n))
             obs = mps_observables(mps, pairs=[(lo, hi - 1)])
             sigma_z_mean, plateau = order_parameters(obs.sz, obs.cpm)

@@ -2,10 +2,13 @@
 
 Sweeps optimize a two-site tensor at every bond with an iterative extremal
 eigensolver warm-started from the current state, then split it by SVD with a
-discarded-weight cut.  The bond-dimension schedule grows per sweep;
+discarded-weight cut.  The bond dimension doubles per sweep up to ``chi_max``;
 convergence is declared when the energy change between two consecutive full
-sweeps, both run at the last bond dimension of the schedule, drops below
-``energy_tol``.
+sweeps, both run at ``chi_max``, drops below ``energy_tol``.
+
+The chain is swept with a PIN_STRENGTH sz field on site 0, which breaks exact
+spin-flip ties the way the ED oracle resolves them, and the reported energy
+is that of the unpinned H.
 """
 
 from __future__ import annotations
@@ -16,33 +19,45 @@ import numpy as np
 
 from ..errors import InvalidParams, NotConverged
 from ..krylov import lowest_eigenpair
-from .mpo import MatrixProductOperator, _advance, _advance_right, expectation
+from ..model import ModelParams
+from .mpo import MatrixProductOperator, _advance, _advance_right, build_mpo, expectation
 from .mps import MatrixProductState, entropy_profile, random_mps
 
-DEFAULT_SCHEDULE = (16, 32, 64, 128)
+PIN_STRENGTH = 1e-8
 _DENSE_LOCAL_DIM = 400
 _LOCAL_MAX_ITER = 40
+_LOCAL_TOL = 1e-11
+
+
+def chi_schedule(chi_max: int) -> tuple:
+    """Doubling schedule 16, 32, ... capped at chi_max."""
+    chis = []
+    chi = min(16, chi_max)
+    while chi < chi_max:
+        chis.append(chi)
+        chi *= 2
+    chis.append(chi_max)
+    return tuple(chis)
 
 
 @dataclass(frozen=True)
 class DmrgConfig:
-    """Sweep schedule and tolerances.
+    """Bond-dimension cap and tolerances.
 
-    max_bond_dims is the per-sweep bond-dimension cap (last entry repeats);
+    chi_max caps the bond dimension, reached by ``chi_schedule``;
     truncation_cut is the largest discarded Schmidt weight allowed at a
     split and may not exceed 1e-6.
     """
 
-    max_bond_dims: tuple = DEFAULT_SCHEDULE
+    chi_max: int = 128
     truncation_cut: float = 1e-6
     energy_tol: float = 1e-9
     max_sweeps: int = 30
     seed: int = 0
-    local_tol: float = 1e-11
 
     def __post_init__(self):
-        if not self.max_bond_dims or min(self.max_bond_dims) < 1:
-            raise InvalidParams("max_bond_dims must be a non-empty list of positive ints")
+        if self.chi_max < 1:
+            raise InvalidParams("chi_max must be >= 1")
         if self.truncation_cut > 1e-6:
             raise InvalidParams("truncation_cut must be <= 1e-6")
         if self.max_sweeps < 1:
@@ -147,18 +162,18 @@ def _split(theta, chi_max):
     )
 
 
-def dmrg_ground_state(mpo: MatrixProductOperator, config: DmrgConfig,
-                      energy_mpo: MatrixProductOperator | None = None,
+def dmrg_ground_state(p: ModelParams, config: DmrgConfig = DmrgConfig(),
                       strict: bool = False):
-    """Run two-site DMRG against ``mpo``; returns (mps, DmrgReport).
+    """Run two-site DMRG on the pinned chain H; returns (mps, DmrgReport).
 
-    ``energy_mpo`` (when given) is used for the reported final energy; sweeps
-    still optimize against ``mpo``.  This lets callers sweep with a pinned
-    Hamiltonian and report the unpinned energy.  ``strict=True`` raises
-    NotConverged instead of returning a flagged report.
+    The report's energy is that of the unpinned H; ``energies_per_sweep``
+    are those of the swept, pinned one.  ``strict=True`` raises NotConverged
+    instead of returning a flagged report.
     """
+    mpo = build_mpo(p, pin_strength=PIN_STRENGTH)
+    schedule = chi_schedule(config.chi_max)
     n = mpo.n_sites
-    mps = random_mps(n, config.max_bond_dims[0], config.seed)
+    mps = random_mps(n, schedule[0], config.seed)
 
     rights = [None] * (n + 1)
     rights[n] = np.ones((1, 1, 1))
@@ -166,41 +181,36 @@ def dmrg_ground_state(mpo: MatrixProductOperator, config: DmrgConfig,
         rights[i] = _advance_right(rights[i + 1], mps.tensors[i], mpo.tensors[i])
     lefts = [None] * (n + 1)
     lefts[0] = np.ones((1, 1, 1))
+    # one sweep: left-to-right over every bond, then back
+    bonds = [(i, True) for i in range(n - 1)] + [(i, False) for i in range(n - 2, -1, -1)]
 
     energies: list[float] = []
     converged = False
     max_disc_last_sweep = 0.0
     for sweep in range(config.max_sweeps):
-        chi = config.max_bond_dims[min(sweep, len(config.max_bond_dims) - 1)]
+        chi = schedule[min(sweep, len(schedule) - 1)]
         max_disc = 0.0
-
-        for i in range(n - 1):  # left-to-right
+        for i, rightward in bonds:
             theta0 = np.tensordot(mps.tensors[i], mps.tensors[i + 1], ([2], [0]))
             _, theta = _solve_local(lefts[i], mpo.tensors[i], mpo.tensors[i + 1],
-                                    rights[i + 2], theta0, config.local_tol)
+                                    rights[i + 2], theta0, _LOCAL_TOL)
             u, s, vh, disc = _split(theta, chi)
             max_disc = max(max_disc, disc)
-            mps.tensors[i] = u
-            mps.tensors[i + 1] = np.tensordot(np.diag(s), vh, ([1], [0]))
-            mps.center = i + 1
-            lefts[i + 1] = _advance(lefts[i], u, mpo.tensors[i])
-
-        for i in range(n - 2, -1, -1):  # right-to-left
-            theta0 = np.tensordot(mps.tensors[i], mps.tensors[i + 1], ([2], [0]))
-            _, theta = _solve_local(lefts[i], mpo.tensors[i], mpo.tensors[i + 1],
-                                    rights[i + 2], theta0, config.local_tol)
-            u, s, vh, disc = _split(theta, chi)
-            max_disc = max(max_disc, disc)
-            mps.tensors[i] = np.tensordot(u, np.diag(s), ([2], [0]))
-            mps.tensors[i + 1] = vh
-            mps.center = i
-            rights[i + 1] = _advance_right(rights[i + 2], vh, mpo.tensors[i + 1])
+            if rightward:
+                mps.tensors[i] = u
+                mps.tensors[i + 1] = np.tensordot(np.diag(s), vh, ([1], [0]))
+                mps.center = i + 1
+                lefts[i + 1] = _advance(lefts[i], u, mpo.tensors[i])
+            else:
+                mps.tensors[i] = np.tensordot(u, np.diag(s), ([2], [0]))
+                mps.tensors[i + 1] = vh
+                mps.center = i
+                rights[i + 1] = _advance_right(rights[i + 2], vh, mpo.tensors[i + 1])
 
         energies.append(expectation(mps, mpo))
         max_disc_last_sweep = max_disc
-        # both compared sweeps must have run at the final bond dimension
-        if (sweep >= len(config.max_bond_dims)
-                and abs(energies[-1] - energies[-2]) < config.energy_tol):
+        # both compared sweeps must have run at chi_max
+        if sweep >= len(schedule) and abs(energies[-1] - energies[-2]) < config.energy_tol:
             converged = True
             break
 
@@ -211,9 +221,8 @@ def dmrg_ground_state(mpo: MatrixProductOperator, config: DmrgConfig,
         status = "truncation_exceeded"
     else:
         status = "ok" if converged else "not_converged"
-    final_energy = expectation(mps, energy_mpo) if energy_mpo is not None else energies[-1]
     report = DmrgReport(
-        energy=float(final_energy),
+        energy=float(expectation(mps, build_mpo(p))),
         energies_per_sweep=energies,
         max_truncation_error=max_disc_last_sweep,
         converged=converged,

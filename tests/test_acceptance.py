@@ -19,7 +19,7 @@ from cavityxxz.exactdiag import cut_entanglement_entropy, global_ground_state
 from cavityxxz.model import ModelParams, build_dense_hamiltonian
 from cavityxxz.records import load_json
 from cavityxxz.spinwave import excitation_density, fm_boundary_root, xy_integrand
-from cavityxxz.sweep import PIN_STRENGTH, SweepGrid, chi_schedule, run_sweep
+from cavityxxz.sweep import SweepGrid, run_sweep
 from cavityxxz.tensornet import DmrgConfig, build_mpo, dmrg_ground_state, mpo_to_dense
 
 TWO_PI = 2.0 * np.pi
@@ -31,11 +31,8 @@ def report(tag, ok, detail):
 
 
 def run_dmrg(alpha, j, n, chi_max=128, max_sweeps=30):
-    p = ModelParams(alpha, j, n)
-    mpo = build_mpo(p)
-    pinned = build_mpo(p, pin_strength=PIN_STRENGTH)
-    config = DmrgConfig(max_bond_dims=chi_schedule(chi_max), max_sweeps=max_sweeps)
-    return dmrg_ground_state(pinned, config, energy_mpo=mpo)
+    config = DmrgConfig(chi_max=chi_max, max_sweeps=max_sweeps)
+    return dmrg_ground_state(ModelParams(alpha, j, n), config)
 
 
 def test_criterion_1_oracle_equivalence():

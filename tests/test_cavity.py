@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from cavityxxz.cavity import (
     FULL_PHOTON_LIMIT,
     FULL_SITE_LIMIT,
+    MAX_SAMPLES,
     CavityParams,
     compare_trajectories,
     effective_hamiltonian,
@@ -244,6 +245,14 @@ def test_compare_trajectories_contract():
     b = simulate_effective(cp, t_end=2.0, dt=1e-3)
     with pytest.raises(GridMismatch):
         compare_trajectories(a, b)
+
+
+def test_trajectory_keeps_the_sample_cap():
+    # criterion-9 inputs: 12,500 RK4 steps, thinned to at most MAX_SAMPLES samples
+    cp = CavityParams(g=0.25, delta_c=100.0, kappa=5.0, j_xx=1.0, j_z=1.0, n_sites=2)
+    traj = simulate_effective(cp, t_end=10.0, dt=8e-4)
+    assert traj.times.shape[0] <= MAX_SAMPLES
+    assert abs(traj.times[-1] - 10.0) < 1e-12
 
 
 def test_trace_drift_raises_on_unstable_step():

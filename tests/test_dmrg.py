@@ -4,7 +4,6 @@ import pytest
 from cavityxxz.errors import InvalidParams, NotConverged
 from cavityxxz.exactdiag import correlators, cut_entanglement_entropy, global_ground_state
 from cavityxxz.model import ModelParams
-from cavityxxz.sweep import PIN_STRENGTH
 from cavityxxz.tensornet import (
     DmrgConfig,
     build_mpo,
@@ -15,19 +14,17 @@ from cavityxxz.tensornet import (
 )
 from cavityxxz.tensornet.dmrg import _dense_heff, _local_matvec
 
-SMALL = DmrgConfig(max_bond_dims=(16, 32, 64), max_sweeps=25)
+SMALL = DmrgConfig(chi_max=64, max_sweeps=25)
 
 
-def run(alpha, j, n, pin=True, config=SMALL):
+def run(alpha, j, n, config=SMALL):
     p = ModelParams(alpha, j, n)
-    mpo = build_mpo(p)
-    sweep_mpo = build_mpo(p, pin_strength=PIN_STRENGTH) if pin else mpo
-    return mpo, dmrg_ground_state(sweep_mpo, config, energy_mpo=mpo)
+    return build_mpo(p), dmrg_ground_state(p, config)
 
 
 def test_config_validation():
     with pytest.raises(InvalidParams):
-        DmrgConfig(max_bond_dims=())
+        DmrgConfig(chi_max=0)
     with pytest.raises(InvalidParams):
         DmrgConfig(truncation_cut=1e-5)
     with pytest.raises(InvalidParams):
@@ -57,7 +54,7 @@ def test_local_matvec_matches_dense_heff(j, site, dl, dr):
 def test_no_convergence_while_schedule_ramps():
     # a product state reaches its energy in the first sweep; convergence
     # still waits for two sweeps at the last bond dimension
-    config = DmrgConfig(max_bond_dims=(4, 8, 16), max_sweeps=10)
+    config = DmrgConfig(chi_max=64, max_sweeps=10)
     _, (_, report) = run(0.5, 0.0, 12, config=config)
     assert report.converged
     assert report.n_sweeps >= 4
@@ -132,13 +129,12 @@ def test_truncation_error_reported_below_gate():
 
 
 def test_not_converged_paths():
-    config = DmrgConfig(max_bond_dims=(8,), max_sweeps=1)
+    config = DmrgConfig(chi_max=8, max_sweeps=1)
     p = ModelParams(1.5, 0.5, 12)
-    mpo = build_mpo(p)
-    _, report = dmrg_ground_state(mpo, config)
+    _, report = dmrg_ground_state(p, config)
     assert not report.converged  # one sweep can never satisfy the energy test
     with pytest.raises(NotConverged):
-        dmrg_ground_state(mpo, config, strict=True)
+        dmrg_ground_state(p, config, strict=True)
 
 
 def test_deterministic_given_seed():
@@ -151,14 +147,24 @@ def test_deterministic_given_seed():
 
 def test_pinning_selects_product_state_in_degenerate_phase():
     # without pinning the spin-flip doublet may converge to an entangled cat
-    _, (_, report) = run(0.5, 0.5, 10, pin=True)
+    _, (_, report) = run(0.5, 0.5, 10)
     assert max(report.entropy_profile) <= 1e-8
     assert abs(report.energy - (-(10 - 1) / 4.0)) <= 1e-8
 
 
+def test_default_call_matches_exact_diagonalization_at_su2_point():
+    # every sector is degenerate here; the pin selects ED's product state
+    p = ModelParams(1.0, 0.0, 10)
+    report_ed = global_ground_state(p)
+    _, report = dmrg_ground_state(p)
+    assert abs(report.energy - report_ed.energy) <= 1e-8
+    s_ed = cut_entanglement_entropy(report_ed.state, 5)
+    assert abs(report.entropy_profile[4] - s_ed) <= 1e-4
+
+
 def test_large_chain_converges_within_twenty_sweeps():
     # no external oracle at this size: the internal convergence record is the check
-    config = DmrgConfig(max_bond_dims=(16, 32, 64, 128), max_sweeps=20)
+    config = DmrgConfig(chi_max=128, max_sweeps=20)
     _, (_, report) = run(2.0, 1.0, 64, config=config)
     assert report.converged
     assert report.n_sweeps <= 20

@@ -9,7 +9,8 @@ from cavityxxz.cli import main
 from cavityxxz.config import parse_config
 from cavityxxz.errors import InvalidParams
 from cavityxxz.records import load_json
-from cavityxxz.sweep import SweepGrid, chi_schedule, point_seed, run_point, run_sweep
+from cavityxxz.sweep import SweepGrid, point_seed, run_point, run_sweep
+from cavityxxz.tensornet.dmrg import chi_schedule
 
 FAST = {"chi_max": 32, "max_sweeps": 20, "truncation_cut": 1e-6, "energy_tol": 1e-9}
 
