@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidCut, NoConvergence, SizeExceeded
 from .krylov import converged, lowest_eigenpair
@@ -105,7 +104,7 @@ def sector_ground_state(p: ModelParams, n_up: int, method: str = "auto",
     if method == "dense":
         if dim > DENSE_SECTOR_LIMIT:
             raise SizeExceeded(f"dense sector solver limited to {DENSE_SECTOR_LIMIT}, got {dim}")
-        evals, evecs = scipy.linalg.eigh(sector_dense_block(p, basis), subset_by_index=(0, 0))
+        evals, evecs = np.linalg.eigh(sector_dense_block(p, basis))
         energy, vec = float(evals[0]), evecs[:, 0]
     else:
         if dim > LANCZOS_SECTOR_LIMIT:

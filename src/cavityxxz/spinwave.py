@@ -7,7 +7,11 @@ Two Holstein-Primakoff expansions feed the classifier:
       omega_k = 1 - alpha cos(2 pi k / N) + (J/N) sum_{r=1}^{N/2} cos(2 pi k r / N)
 
   whose soft mode locates the ferromagnetic boundary at alpha = 1 for J >= 0
-  and alpha = 1 + J/2 for J <= 0;
+  and alpha = 1 + J/2 for J <= 0.  Every omega_k is linear in alpha, so the
+  finite-N soft-mode root is found in closed form.  The J term disagrees with
+  the model's H, whose exact one-magnon energies are 1 - alpha - J(N-1)/2N
+  at k = 0 and 1 - alpha cos(2 pi k / N) + J/2N otherwise: ED and
+  model.polarized_phase_boundary put the boundary at 1 - J/2 for J >= 0;
 
 * about the x-polarized vacuum: quadratic boson Hamiltonian with
 
@@ -15,7 +19,12 @@ Two Holstein-Primakoff expansions feed the classifier:
       mu_k    = (1-alpha)/2 cos(2 pi k / N) + (J/2N) sum_r cos(2 pi k r / N)
 
   diagonalized by a Bogoliubov rotation with quasiparticle energy
-  E_k = 2 sqrt(omega_k^2 - mu_k^2).  The density of excitations in the
+  E_k = 2 sqrt(omega_k^2 - mu_k^2).  Away from k = 0 this agrees with the
+  model's H up to O(J/N) terms, and the thermodynamic integrand (no
+  lattice-sum term) agrees exactly.  At k = 0 the model gives
+  mu_0 = (1-alpha)/2 - J/4, so omega_0 - mu_0 = alpha - 1 + J/2 and
+  omega_0 + mu_0 = 0 (the Goldstone mode); the J/4 here has the other sign,
+  which keeps k = 0 unstable up to alpha = 1 for J > 0.  The density of excitations in the
   Bogoliubov vacuum decides between quasi-long-range order (log-divergent
   with N, at J = 0) and true U(1) symmetry breaking (convergent, J > 0).
 
@@ -29,7 +38,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .analysis import PHASE_FM, PHASE_TLL, PHASE_XY
 from .errors import InvalidParams, ModeInstability, Unclassifiable
@@ -100,7 +108,12 @@ def half_range_cosine_sum(k, n_sites: int):
 
 
 def fm_dispersion(p: ModelParams, k) -> np.ndarray | float:
-    """Magnon energy omega_k above the z-polarized vacuum."""
+    """Magnon energy omega_k above the z-polarized vacuum.
+
+    At k = 0 the J term has the opposite sign to the model's H: ED and
+    model.polarized_phase_boundary give the uniform magnon 1 - alpha - J/2
+    and so the boundary 1 - J/2 for J >= 0, where this gives 1 - alpha + J/2.
+    """
     _require_periodic_even(p)
     k = np.asarray(k)
     q = 2.0 * np.pi * k / p.n_sites
@@ -108,21 +121,28 @@ def fm_dispersion(p: ModelParams, k) -> np.ndarray | float:
     return w if w.ndim else float(w)
 
 
+def _spectrum(p: ModelParams, vacuum: str, ks, omega, mu, energy) -> SpinWaveSpectrum:
+    """Spectrum table; non-finite energies mark the modes where the expansion fails."""
+    bad = [int(k) for k, e in zip(ks, energy) if not np.isfinite(e)]
+    finite = energy[np.isfinite(energy)]
+    min_e = float(finite.min()) if finite.size else math.nan
+    return SpinWaveSpectrum(
+        params=p,
+        vacuum=vacuum,
+        k_index=ks,
+        omega=omega,
+        mu=mu,
+        energy=energy,
+        min_energy=min_e,
+        stable=not bad and min_e > -STABILITY_TOL,
+        unstable_k=bad,
+    )
+
+
 def fm_spectrum(p: ModelParams) -> SpinWaveSpectrum:
     ks = k_indices(p.n_sites)
     omega = fm_dispersion(p, ks)
-    min_e = float(omega.min())
-    return SpinWaveSpectrum(
-        params=p,
-        vacuum=FM_VACUUM,
-        k_index=ks,
-        omega=omega,
-        mu=np.zeros_like(omega),
-        energy=omega,
-        min_energy=min_e,
-        stable=min_e > -STABILITY_TOL,
-        unstable_k=[],
-    )
+    return _spectrum(p, FM_VACUUM, ks, omega, np.zeros_like(omega), omega)
 
 
 def fm_stability(p: ModelParams) -> tuple[float, bool]:
@@ -132,18 +152,43 @@ def fm_stability(p: ModelParams) -> tuple[float, bool]:
 
 
 def fm_phase_boundary(j_lr: float) -> float:
-    """Ferromagnetic boundary alpha*(J): 1 for J >= 0, 1 + J/2 for J < 0."""
+    """Ferromagnetic boundary alpha*(J): 1 for J >= 0, 1 + J/2 for J < 0.
+
+    This is the soft mode of fm_dispersion.  ED and
+    model.polarized_phase_boundary put the boundary at 1 - J/2 for J >= 0;
+    see fm_dispersion for the sign of the J term.
+    """
     return 1.0 if j_lr >= 0.0 else 1.0 + j_lr / 2.0
 
 
 def fm_boundary_root(j_lr: float, n_sites: int = 2048) -> float:
-    """Numerical root of min_k omega_k in alpha at finite N."""
+    """Root of min_k omega_k in alpha at finite N, in closed form.
 
-    def min_omega(alpha: float) -> float:
-        p = ModelParams(alpha, j_lr, n_sites, boundary=PERIODIC)
-        return float(np.min(fm_dispersion(p, k_indices(n_sites))))
+    omega_k = omega_k(0) - alpha cos q_k is linear in alpha, so from a stable
+    vacuum at alpha = 0 the first mode to go soft is the one with cos q_k > 0
+    that minimizes omega_k(0) / cos q_k.  Raises ValueError when the vacuum is
+    unstable at alpha = 0 or the root is not in (0, 4].
+    """
+    ks = k_indices(n_sites)
+    omega0 = fm_dispersion(ModelParams(0.0, j_lr, n_sites, boundary=PERIODIC), ks)
+    cos_q = np.cos(2.0 * np.pi * ks / n_sites)
+    softening = cos_q > 0.0
+    root = float(np.min(omega0[softening] / cos_q[softening]))
+    if not (omega0 > 0.0).all() or not 0.0 < root <= 4.0:
+        raise ValueError(f"no soft-mode root in (0, 4] at J={j_lr}, N={n_sites}")
+    return root
 
-    return float(brentq(min_omega, 1e-9, 4.0, xtol=1e-12, rtol=1e-15))
+
+def _xy_omega_mu(alpha: float, j_lr: float, q, lr):
+    """omega and mu of the x-polarized expansion; lr is the lattice-sum term."""
+    omega = (alpha + j_lr / 2.0) - 0.5 * (1.0 + alpha) * np.cos(q) - lr
+    mu = 0.5 * (1.0 - alpha) * np.cos(q) + lr
+    return omega, mu
+
+
+def _occupation(omega, mu):
+    """Bogoliubov-vacuum occupation [1 - mu^2/omega^2]^(-1/2) - 1 of one mode."""
+    return 1.0 / np.sqrt(1.0 - (mu / omega) ** 2) - 1.0
 
 
 def xy_coefficients(p: ModelParams, k):
@@ -152,8 +197,7 @@ def xy_coefficients(p: ModelParams, k):
     k = np.asarray(k)
     q = 2.0 * np.pi * k / p.n_sites
     lr = (p.j_lr / (2.0 * p.n_sites)) * half_range_cosine_sum(k, p.n_sites)
-    omega = (p.alpha + p.j_lr / 2.0) - 0.5 * (1.0 + p.alpha) * np.cos(q) - lr
-    mu = 0.5 * (1.0 - p.alpha) * np.cos(q) + lr
+    omega, mu = _xy_omega_mu(p.alpha, p.j_lr, q, lr)
     if omega.ndim:
         return omega, mu
     return float(omega), float(mu)
@@ -175,22 +219,7 @@ def bogoliubov_energy(omega, mu):
 def xy_spectrum(p: ModelParams) -> SpinWaveSpectrum:
     ks = k_indices(p.n_sites)
     omega, mu = xy_coefficients(p, ks)
-    energy = bogoliubov_energy(omega, mu)
-    bad = [int(k) for k, e in zip(ks, energy) if not np.isfinite(e)]
-    finite = energy[np.isfinite(energy)]
-    min_e = float(finite.min()) if finite.size else math.nan
-    stable = not bad and min_e > -STABILITY_TOL
-    return SpinWaveSpectrum(
-        params=p,
-        vacuum=XY_VACUUM,
-        k_index=ks,
-        omega=omega,
-        mu=mu,
-        energy=energy,
-        min_energy=min_e,
-        stable=stable,
-        unstable_k=bad,
-    )
+    return _spectrum(p, XY_VACUUM, ks, omega, mu, bogoliubov_energy(omega, mu))
 
 
 def xy_integrand(alpha: float, j_lr: float, q) -> np.ndarray | float:
@@ -200,11 +229,7 @@ def xy_integrand(alpha: float, j_lr: float, q) -> np.ndarray | float:
     omega(q) = (alpha + J/2) - (1+alpha)/2 cos q and mu(q) = (1-alpha)/2 cos q.
     Bounded near q = 0 for J > 0; diverges as 1/|q| at J = 0.
     """
-    q = np.asarray(q, dtype=float)
-    omega = (alpha + j_lr / 2.0) - 0.5 * (1.0 + alpha) * np.cos(q)
-    mu = 0.5 * (1.0 - alpha) * np.cos(q)
-    ratio = 1.0 - (mu / omega) ** 2
-    out = 1.0 / np.sqrt(ratio) - 1.0
+    out = _occupation(*_xy_omega_mu(alpha, j_lr, np.asarray(q, dtype=float), 0.0))
     return out if out.ndim else float(out)
 
 
@@ -232,8 +257,7 @@ def excitation_density(p: ModelParams, n_list=None) -> ExcitationDensityResult:
                 f"x-polarized expansion invalid at alpha={p.alpha}, J={p.j_lr}, N={n}",
                 modes=bad,
             )
-        occupation = 1.0 / np.sqrt(1.0 - (mu / omega) ** 2) - 1.0
-        series.append((n, float(occupation.sum() / (2.0 * n))))
+        series.append((n, float(_occupation(omega, mu).sum() / (2.0 * n))))
 
     ns_arr = np.array([s[0] for s in series], dtype=float)
     dens = np.array([s[1] for s in series])

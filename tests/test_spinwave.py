@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cavityxxz.errors import InvalidParams, ModeInstability, Unclassifiable
-from cavityxxz.model import ModelParams
+from cavityxxz.model import ModelParams, sector_basis, sector_dense_block
 from cavityxxz.spinwave import (
     PHASE_FM,
     PHASE_TLL,
@@ -79,14 +79,48 @@ def test_fm_phase_boundary_branches():
     assert fm_phase_boundary(0.0) == 1.0
 
 
-@pytest.mark.parametrize("j", [0.5, 1.0, 2.0])
+def assert_soft_mode_root(root, j, n=2048):
+    # min_k omega_k vanishes at the root and is still positive just below it
+    ks = k_indices(n)
+    assert abs(fm_dispersion(periodic(root, j, n), ks).min()) <= 1e-12
+    assert fm_dispersion(periodic(root * (1.0 - 1e-9), j, n), ks).min() > 0.0
+
+
+@pytest.mark.parametrize("j", [0.5, 1.0, 2.0, 0.0, 1.5])
 def test_fm_boundary_root_positive_j(j):
-    assert abs(fm_boundary_root(j) - 1.0) <= 1e-3
+    root = fm_boundary_root(j)
+    assert abs(root - 1.0) <= 1e-3
+    assert_soft_mode_root(root, j)
 
 
-@pytest.mark.parametrize("j", [-0.5, -1.0])
+@pytest.mark.parametrize("j", [-0.5, -1.0, -1.9])
 def test_fm_boundary_root_negative_j(j):
-    assert abs(fm_boundary_root(j) - (1.0 + j / 2.0)) <= 1e-3
+    root = fm_boundary_root(j)
+    assert abs(root - (1.0 + j / 2.0)) <= 1e-3
+    assert_soft_mode_root(root, j)
+
+
+@pytest.mark.parametrize("j,n", [(-3.0, 2048), (5.0, 4)])
+def test_fm_boundary_root_raises_without_root(j, n):
+    # J = -3: the k = 0 mode is already soft at alpha = 0;
+    # J = 5 at N = 4: the k = +-1 modes (cos q = 0) are negative at every
+    # alpha, although the k = 0 ratio 1 + J/2 = 3.5 lies in (0, 4]
+    with pytest.raises(ValueError):
+        fm_boundary_root(j, n)
+
+
+@pytest.mark.parametrize("alpha,j", [(0.9, 0.5), (0.8, -0.5), (1.5, 1.0)])
+def test_model_one_magnon_spectrum(alpha, j):
+    # The exact one-magnon energies of H that fm_dispersion is to be read
+    # against: 1 - alpha - J(N-1)/2N at k = 0, 1 - alpha cos q + J/2N otherwise.
+    n = 12
+    p = periodic(alpha, j, n)
+    e_polarized = np.linalg.eigvalsh(sector_dense_block(p, sector_basis(n, n)))[0]
+    one_magnon = np.linalg.eigvalsh(sector_dense_block(p, sector_basis(n, n - 1))) - e_polarized
+    ks = k_indices(n)
+    expect = np.where(ks == 0, 1.0 - alpha - j * (n - 1) / (2.0 * n),
+                      1.0 - alpha * np.cos(2 * np.pi * ks / n) + j / (2.0 * n))
+    assert np.abs(one_magnon - np.sort(expect)).max() < 1e-12
 
 
 def test_xy_isotropic_point_has_no_pairing():
