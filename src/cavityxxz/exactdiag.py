@@ -85,7 +85,13 @@ def lanczos_ground(matvec, dim: int, seed: int = 0, tol: float = LANCZOS_TOL,
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(vec)))
+    """Make the first entry, in basis order, with |v| >= max |v| / 2 positive.
+
+    Not the sign at argmax |v|: mirror-image basis states of a reflection-odd
+    state tie for the largest |v|, so the argmax would follow round-off.
+    """
+    mag = np.abs(vec)
+    k = int(np.argmax(mag >= 0.5 * mag.max()))
     return -vec if vec[k] < 0 else vec
 
 

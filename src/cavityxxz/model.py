@@ -65,12 +65,15 @@ class ModelParams:
 
 @dataclass(frozen=True, eq=False)
 class SectorBasis:
-    """Ordered basis of the fixed-magnetization block with n_up up spins."""
+    """Ordered basis of the fixed-magnetization block with n_up up spins.
+
+    A state's index is its rank in the ascending ``states``, found by binary
+    search, so the basis holds O(dim) memory.
+    """
 
     n_sites: int
     n_up: int
     states: np.ndarray = field(repr=False)
-    index_lookup: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -80,10 +83,15 @@ class SectorBasis:
         return self.size
 
     def index_of(self, state: int) -> int:
-        idx = int(self.index_lookup[state])
-        if idx < 0:
-            raise KeyError(f"state {state:b} not in sector n_up={self.n_up}")
-        return idx
+        return int(_rank(self.states, state))
+
+
+def _rank(states: np.ndarray, targets):
+    """Indices of ``targets`` in the sorted ``states``; KeyError if any is absent."""
+    idx = np.minimum(np.searchsorted(states, targets), states.shape[0] - 1)
+    if not np.array_equal(states[idx], targets):
+        raise KeyError(f"states {np.setdiff1d(targets, states)} not in the sector")
+    return idx
 
 
 def amplitudes(p: ModelParams) -> tuple[float, float, float]:
@@ -101,10 +109,8 @@ def sector_basis(n_sites: int, n_up: int) -> SectorBasis:
         raise InvalidParams(f"n_up must lie in 0..{n_sites}, got {n_up}")
     everything = np.arange(1 << n_sites, dtype=np.int64)
     states = everything[np.bitwise_count(everything) == n_up]
-    lookup = np.full(1 << n_sites, -1, dtype=np.int64)
-    lookup[states] = np.arange(states.shape[0])
     assert states.shape[0] == comb(n_sites, n_up)
-    return SectorBasis(n_sites, n_up, states, lookup)
+    return SectorBasis(n_sites, n_up, states)
 
 
 def magnetization_sectors(n_sites: int) -> list[SectorBasis]:
@@ -147,16 +153,19 @@ class SectorOperator:
 
 def sector_operator(p: ModelParams, sector: SectorBasis) -> SectorOperator:
     """Build the factorized sector operator once; see ``SectorOperator``."""
-    states, lookup = sector.states, sector.index_lookup
-    dim = sector.size
-    _, flip, lr = amplitudes(p)
-    diag = diagonal_elements(p, states) - lr * sector.n_up
+    states, dim = sector.states, sector.size
+    zz, flip, lr = amplitudes(p)
 
+    # sz_i sz_j = -1 on an anti-aligned bond, and only there does the flip-flop act
+    diag = np.zeros(dim)
     rows, cols = [], []
     for i, j in _bonds(p):
-        anti = np.flatnonzero(((states >> i) ^ (states >> j)) & 1)
-        rows.append(lookup[states[anti] ^ ((1 << i) | (1 << j))])
-        cols.append(anti)
+        anti = ((states >> i) ^ (states >> j)) & 1
+        diag += zz * (1 - 2 * anti)
+        col = np.flatnonzero(anti)
+        rows.append(_rank(states, states[col] ^ ((1 << i) | (1 << j))))
+        cols.append(col)
+    diag -= lr * sector.n_up
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     hop = sparse.csr_matrix((np.full(rows.shape[0], flip), (rows, cols)),
                             shape=(dim, dim))
@@ -179,18 +188,8 @@ def lowering_map(sector: SectorBasis):
     """
     states = sector.states
     site, col = np.nonzero((states[None, :] >> np.arange(sector.n_sites)[:, None]) & 1)
-    below, row = np.unique(states[col] ^ (1 << site), return_inverse=True)
-    return site, col, row, below.shape[0]
-
-
-def diagonal_elements(p: ModelParams, states: np.ndarray) -> np.ndarray:
-    """Diagonal of H over the given basis states (the ZZ part)."""
-    z = 2.0 * ((states[:, None] >> np.arange(p.n_sites)[None, :]) & 1) - 1.0
-    zz = amplitudes(p)[0]
-    diag = np.zeros(states.shape[0])
-    for i, j in _bonds(p):
-        diag += zz * z[:, i] * z[:, j]
-    return diag
+    below = sector_basis(sector.n_sites, sector.n_up - 1).states if sector.n_up else states[:0]
+    return site, col, _rank(below, states[col] ^ (1 << site)), below.shape[0]
 
 
 def build_dense_hamiltonian(p: ModelParams) -> np.ndarray:

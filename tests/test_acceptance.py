@@ -35,6 +35,7 @@ def run_dmrg(alpha, j, n, chi_max=128, max_sweeps=30):
     return dmrg_ground_state(ModelParams(alpha, j, n), config)
 
 
+@pytest.mark.slow
 def test_criterion_1_oracle_equivalence():
     """DMRG equals exact diagonalization across the 16-point grid."""
     worst_e, worst_s, checked = 0.0, 0.0, 0
@@ -103,6 +104,7 @@ def entropy_series(alpha, j, sizes=(16, 24, 32, 48, 64)):
     return points
 
 
+@pytest.mark.slow
 def test_criterion_5_tll_central_charge():
     """Critical line at J = 0 shows c = 1 within +-0.15."""
     fit = fit_central_charge(entropy_series(1.5, 0.0))
@@ -110,6 +112,7 @@ def test_criterion_5_tll_central_charge():
            f"c = {fit.c:.3f} +- {fit.ci_halfwidth:.3f} (target 1.0 +- 0.15)")
 
 
+@pytest.mark.slow
 def test_criterion_6_ssb_central_charge():
     """Symmetry-broken phase at J = 0.5 shows c clearly above 1."""
     fit = fit_central_charge(entropy_series(1.5, 0.5))

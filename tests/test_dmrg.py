@@ -162,6 +162,7 @@ def test_default_call_matches_exact_diagonalization_at_su2_point():
     assert abs(report.entropy_profile[4] - s_ed) <= 1e-4
 
 
+@pytest.mark.slow
 def test_large_chain_converges_within_twenty_sweeps():
     # no external oracle at this size: the internal convergence record is the check
     config = DmrgConfig(chi_max=128, max_sweeps=20)

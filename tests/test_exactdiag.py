@@ -28,12 +28,14 @@ def test_two_site_analytic_block():
 
 
 def test_lanczos_matches_dense():
-    p = ModelParams(1.5, 0.5, 10)
-    dense = sector_ground_state(p, 5, method="dense")
-    lan = sector_ground_state(p, 5, seed=11)
-    assert abs(lan.energy - dense.energy) < 1e-9
-    # same state up to sign convention (both are sign-fixed)
-    assert np.abs(lan.amplitudes - dense.amplitudes).max() < 1e-6
+    # at (0.8, -0.5, 12, 6) the two largest |v| tie with opposite signs (reflection-odd)
+    for alpha, j, n, n_up in ((1.5, 0.5, 10, 5), (0.8, -0.5, 12, 6)):
+        p = ModelParams(alpha, j, n)
+        dense = sector_ground_state(p, n_up, method="dense")
+        lan = sector_ground_state(p, n_up, seed=11)
+        assert abs(lan.energy - dense.energy) < 1e-9
+        # same state up to sign convention (both are sign-fixed)
+        assert np.abs(lan.amplitudes - dense.amplitudes).max() < 1e-6
 
 
 @pytest.mark.parametrize("alpha,j", [(1.5, 0.5), (2.0, 0.0)])

@@ -105,6 +105,10 @@ def test_sector_basis_ordering_and_lookup():
         assert basis.index_of(int(basis.states[idx])) == idx
     with pytest.raises(KeyError):
         basis.index_of(0)  # popcount 0 not in the n_up=3 sector
+    # out of range: negative, or past the last bit
+    for n_up, state in ((8, -1), (3, 1 << 8), (3, -4)):
+        with pytest.raises(KeyError):
+            sector_basis(8, n_up).index_of(state)
 
 
 def test_apply_matches_kron_block():

@@ -1,0 +1,28 @@
+"""The README's examples run as written."""
+
+import re
+from pathlib import Path
+
+from cavityxxz.config import parse_config
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```", README, flags=re.S | re.M)
+
+
+def test_readme_config_blocks_parse(tmp_path):
+    blocks = _blocks("ini")
+    assert blocks
+    for k, text in enumerate(blocks):
+        path = tmp_path / f"example{k}.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert parse_config(path)
+
+
+def test_readme_library_example_runs():
+    blocks = _blocks("python")
+    assert blocks
+    for text in blocks:
+        exec(compile(text, "README.md", "exec"), {})

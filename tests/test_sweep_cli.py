@@ -51,6 +51,7 @@ def test_run_point_fm_record():
         assert entry["sigma_z_mean"] > 0.99
 
 
+@pytest.mark.slow
 def test_run_point_labels_critical_and_broken_phases():
     settings = dict(FAST, chi_max=64)
     tll = run_point(1.5, 0.0, (16, 24, 32), settings, base_seed=0)
@@ -63,6 +64,7 @@ def test_run_point_labels_critical_and_broken_phases():
     assert ssb["xy_plateau"] > 0.1
 
 
+@pytest.mark.slow
 def test_run_point_enforces_truncation_cut():
     settings = dict(FAST, chi_max=8)
     record = run_point(1.5, 0.5, (16, 24, 32), settings, base_seed=0)
