@@ -12,7 +12,10 @@ model with J/N = 4 g^2 / (Delta_c J_z) and alpha = J_xx / J_z.
 Both the full spin+photon master equation and the reduced spin-only one are
 written once as a sparse Liouvillian L on the flattened density matrix and
 stepped by the same fixed-step RK4, so the elimination can be validated
-directly.
+directly.  Only the block of L on the entries of rho that L can reach from the
+initial state is made dense; since L is constant, n RK4 steps are one product
+with the n-th power of the RK4 step matrix, and each sample costs one such
+product.
 All rates are scaled by J_z; trajectory times are the dimensionless tau = J_z t.
 """
 
@@ -142,24 +145,34 @@ def effective_hamiltonian(cp: CavityParams) -> np.ndarray:
     return _chain_hamiltonian(cp.j_xx / cp.j_z, j_lr, cp.n_sites)
 
 
-def _rk4(rho, deriv, n_steps, dt, observe, stride):
-    samples = [observe(0, rho)]
-    for step in range(1, n_steps + 1):
-        k1 = deriv(rho)
-        k2 = deriv(rho + 0.5 * dt * k1)
-        k3 = deriv(rho + 0.5 * dt * k2)
-        k4 = deriv(rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if step % stride == 0 or step == n_steps:
-            samples.append(observe(step, rho))
-    return samples, rho
+def _rk4(r, lv, h_step, n_steps, stride):
+    """``n_steps`` RK4 steps of dr/dt = lv r from r, sampled every ``stride`` steps
+    and after the last; returns the stacked samples, r included.
+
+    For a constant dense ``lv`` one RK4 step is exactly r <- P r with
+    P = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so a sample costs one product
+    with P^stride.
+    """
+    eye = np.eye(lv.shape[0])
+    hl = h_step * lv
+    step = eye + hl @ (eye + hl / 2.0 @ (eye + hl / 3.0 @ (eye + hl / 4.0)))
+    n_full, tail = divmod(n_steps, stride)
+    jump = np.linalg.matrix_power(step, stride)
+    states = np.empty((n_full + 1 + (tail > 0), r.shape[0]), dtype=complex)
+    states[0] = r
+    for k in range(n_full):
+        np.matmul(jump, states[k], out=states[k + 1])
+    if tail:
+        np.matmul(np.linalg.matrix_power(step, tail), states[n_full], out=states[-1])
+    return states
 
 
 def _liouvillian(hamiltonian, jumps) -> sparse.csr_matrix:
     """Sparse generator L of drho/dt = -i[H, rho] + sum_k rate (J rho J+ - {J+J, rho}/2).
 
     L acts on the row-major flattened rho, where A rho B becomes
-    kron(A, B^T) vec(rho); it is never formed densely.
+    kron(A, B^T) vec(rho).  It stays sparse; ``_evolve`` makes dense only the
+    block on the entries of rho that L can reach.
     """
     eye = sparse.identity(hamiltonian.shape[0], format="csr")
     h = sparse.csr_matrix(hamiltonian)
@@ -172,39 +185,59 @@ def _liouvillian(hamiltonian, jumps) -> sparse.csr_matrix:
     return lv.tocsr()
 
 
+def _reachable(lv, r0) -> np.ndarray:
+    """Mask of the entries of vec(rho) that L's sparsity pattern reaches from the
+    nonzeros of r0; every other entry stays exactly 0 under any L-polynomial."""
+    pattern = sparse.csr_matrix((np.ones(lv.nnz), lv.indices, lv.indptr), shape=lv.shape)
+    mask = r0 != 0
+    while True:
+        grown = mask | (pattern @ mask.astype(float) > 0)
+        if np.array_equal(grown, mask):
+            return mask
+        mask = grown
+
+
 def _evolve(rho0, hamiltonian, jumps, t_end, dt, sigma_z_ops, photon_op, meta) -> Trajectory:
     """Fixed-step RK4 of the master equation on L from ``_liouvillian``.
 
-    Each sample reads tr rho and every observable with one product: tr(rho O)
-    is vec(O^T) . vec(rho).  If the trace drifts beyond tolerance the step is
-    halved once and the run repeated; a second failure raises TraceDrift.
+    Only the entries R of vec(rho) that L reaches from rho0 are carried: L[R, R]
+    is made dense and each sample costs one product with the RK4 step matrix
+    raised to the sample stride (``_rk4``).  The trace and every observable are
+    read with one product, since tr(rho O) is vec(O^T) . vec(rho).  If the trace
+    drifts beyond tolerance the step is halved once and the run repeated; a
+    second failure raises TraceDrift.
     """
     d = rho0.shape[0]
     lv = _liouvillian(hamiltonian, jumps)
+    r0 = rho0.ravel()
+    entries = _reachable(lv, r0)
+    lv_r = lv[entries][:, entries].toarray()
     ops = [np.eye(d)] + sigma_z_ops + ([photon_op] if photon_op is not None else [])
-    reads = np.array([op.T.ravel() for op in ops])
+    reads = np.array([op.T.ravel()[entries] for op in ops])
     n = len(sigma_z_ops)
 
     for attempt, h_step in enumerate((dt, dt / 2.0)):
         n_steps = max(1, int(round(t_end / h_step)))
         stride = -(-n_steps // (MAX_SAMPLES - 1))  # ceiling: at most MAX_SAMPLES samples
+        steps = np.arange(0, n_steps + 1, stride)
+        if steps[-1] != n_steps:
+            steps = np.append(steps, n_steps)
 
-        def observe(k, r, _dt=h_step):
-            values = reads @ r
-            trace = values[0]
-            return [k * _dt, abs(trace.real - 1.0) + abs(trace.imag), *values[1:].real]
-
-        samples, r_final = _rk4(rho0.ravel(), lv.dot, n_steps, h_step, observe, stride)
-        rows = np.array(samples)
-        worst = float(rows[:, 1].max())
+        states = _rk4(r0[entries], lv_r, h_step, n_steps, stride)
+        values = states @ reads.T
+        trace_error = np.abs(values[:, 0].real - 1.0) + np.abs(values[:, 0].imag)
+        worst = float(trace_error.max())
         if worst <= TRACE_TOL:
+            final = np.zeros(d * d, dtype=complex)
+            final[entries] = states[-1]
             return Trajectory(
-                times=rows[:, 0],
-                sigma_z=rows[:, 2:2 + n],
-                photon=rows[:, 2 + n] if photon_op is not None else None,
-                trace_error=rows[:, 1],
-                meta=dict(meta, dt=h_step, trace_worst=worst, halved=attempt > 0),
-                final_rho=r_final.reshape(d, d),
+                times=steps * h_step,
+                sigma_z=values[:, 1:1 + n].real,
+                photon=values[:, 1 + n].real if photon_op is not None else None,
+                trace_error=trace_error,
+                meta=dict(meta, dt=h_step, trace_worst=worst, halved=attempt > 0,
+                          entries=int(entries.sum())),
+                final_rho=final.reshape(d, d),
             )
     raise TraceDrift(f"trace error {worst:.3e} above {TRACE_TOL} even after halving dt")
 

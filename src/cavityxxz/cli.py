@@ -336,7 +336,10 @@ def _cmd_cavity(args) -> int:
     path = os.path.join(out, f"cavity_{args.model}.csv")
     header, rows = _trajectory_csv_rows(traj)
     _write_csv(path, header, rows)
+    meta_path = os.path.join(out, f"cavity_{args.model}_meta.json")
+    rec.write_json(traj.meta, meta_path)
     print(path)
+    print(meta_path)
     return 0
 
 

@@ -4,6 +4,7 @@ from conftest import SM, kron_hamiltonian, site_op
 from scipy import sparse
 from scipy.linalg import expm
 
+from cavityxxz import cavity
 from cavityxxz.cavity import (
     FULL_PHOTON_LIMIT,
     FULL_SITE_LIMIT,
@@ -17,6 +18,7 @@ from cavityxxz.cavity import (
     simulate_full,
     _initial_spin_state,
     _liouvillian,
+    _reachable,
 )
 from cavityxxz.errors import GridMismatch, InvalidParams, SizeExceeded, TraceDrift
 
@@ -267,3 +269,67 @@ def test_photon_cutoff_adequacy():
     large = simulate_full(cp, n_max=5, t_end=2.0, dt=5e-4)
     assert small.photon.max() < 0.05
     assert np.abs(small.sigma_z - large.sigma_z).max() < 1e-6
+
+
+def _staged_rk4(rho0, hamiltonian, jumps, t_end, dt, sigma_z_ops, photon_op):
+    """Reference: the staged k1..k4 RK4 loop on the whole flattened rho, sampled
+    like ``_evolve`` (every ``stride`` steps and after the last)."""
+    lv = _liouvillian(hamiltonian, jumps)
+    n_steps = max(1, int(round(t_end / dt)))
+    stride = -(-n_steps // (MAX_SAMPLES - 1))
+    r = rho0.ravel()
+    steps, states = [0], [r]
+    for step in range(1, n_steps + 1):
+        k1 = lv @ r
+        k2 = lv @ (r + 0.5 * dt * k1)
+        k3 = lv @ (r + 0.5 * dt * k2)
+        k4 = lv @ (r + dt * k3)
+        r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % stride == 0 or step == n_steps:
+            steps.append(step)
+            states.append(r)
+    ops = sigma_z_ops + ([photon_op] if photon_op is not None else [])
+    values = np.array(states) @ np.array([op.T.ravel() for op in ops]).T
+    return {"times": np.array(steps) * dt, "sigma_z": values[:, :len(sigma_z_ops)].real,
+            "photon": values[:, -1].real if photon_op is not None else None,
+            "final_rho": r.reshape(rho0.shape), "tail": n_steps % stride,
+            "reachable": _reachable(lv, rho0.ravel()).reshape(rho0.shape)}
+
+
+@pytest.mark.parametrize("case, entries", [
+    ("criterion9_full", 10),       # 2125 steps at stride 2: a one-step tail
+    ("criterion9_effective", 5),
+    ("closed_full", 9),             # kappa = 0: no jump, no decay to k = 0
+    ("size_limit_full", 147),       # 4 sites, n_max = 8, Neel
+])
+def test_step_matrix_rk4_matches_staged_rk4(monkeypatch, case, entries):
+    calls = []
+    evolve = cavity._evolve
+
+    def recording_evolve(*args):
+        calls.append(args[:7])
+        return evolve(*args)
+
+    monkeypatch.setattr(cavity, "_evolve", recording_evolve)
+    kappa = 0.0 if case == "closed_full" else 5.0
+    cp = CavityParams(g=0.25, delta_c=100.0, kappa=kappa, j_xx=1.0, j_z=1.0, n_sites=2)
+    if case == "criterion9_effective":
+        traj = simulate_effective(cp, t_end=1.7, dt=8e-4)
+    elif case == "size_limit_full":
+        cp = CavityParams(g=0.3, delta_c=5.0, kappa=1.0, j_xx=1.2, j_z=1.0,
+                          n_sites=FULL_SITE_LIMIT)
+        traj = simulate_full(cp, n_max=FULL_PHOTON_LIMIT, t_end=5e-2, dt=1e-3)
+    else:
+        traj = simulate_full(cp, n_max=4, t_end=1.7, dt=8e-4)
+    ref = _staged_rk4(*calls[0])
+    if case.startswith("criterion9"):
+        assert ref["tail"] > 0
+    assert np.array_equal(traj.times, ref["times"])
+    assert np.abs(traj.sigma_z - ref["sigma_z"]).max() < 1e-10
+    if ref["photon"] is not None:
+        assert np.abs(traj.photon - ref["photon"]).max() < 1e-10
+    assert np.abs(traj.final_rho - ref["final_rho"]).max() < 1e-10
+    outside = ~ref["reachable"]
+    assert np.all(traj.final_rho[outside] == 0.0)
+    assert np.all(ref["final_rho"][outside] == 0.0)
+    assert traj.meta["entries"] == ref["reachable"].sum() == entries

@@ -9,7 +9,8 @@ from cavityxxz.cli import main
 from cavityxxz.config import parse_config
 from cavityxxz.errors import InvalidParams
 from cavityxxz.records import load_json
-from cavityxxz.sweep import SweepGrid, point_seed, run_point, run_sweep
+from cavityxxz.sweep import (BLAS_THREAD_VARS, SweepGrid, point_seed, run_point, run_sweep,
+                             _worker_pool)
 from cavityxxz.tensornet.dmrg import chi_schedule
 
 FAST = {"chi_max": 32, "max_sweeps": 20, "truncation_cut": 1e-6, "energy_tol": 1e-9}
@@ -169,6 +170,16 @@ def test_run_sweep_parallel_matches_serial(tmp_path):
     assert (serial / "records.csv").read_bytes() == (parallel / "records.csv").read_bytes()
 
 
+def test_worker_pool_runs_blas_on_one_thread(monkeypatch):
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")  # the caller's own setting wins
+    with _worker_pool(2) as pool:
+        seen = dict(zip(BLAS_THREAD_VARS, pool.map(os.getenv, BLAS_THREAD_VARS)))
+    assert seen == dict(dict.fromkeys(BLAS_THREAD_VARS, "1"), OMP_NUM_THREADS="2")
+    assert [var for var in BLAS_THREAD_VARS if var in os.environ] == ["OMP_NUM_THREADS"]
+
+
 def test_cli_ed(tmp_path, capsys):
     assert main(["ed", "--alpha", "1.5", "--j", "0.5", "--n", "8",
                  "--out", str(tmp_path)]) == 0
@@ -294,6 +305,12 @@ def test_cli_cavity_map_simulate_compare(tmp_path, capsys):
     eff_csv = out / "cavity_effective.csv"
     full_csv = out / "cavity_full.csv"
     assert eff_csv.exists() and full_csv.exists()
+    for model, entries in (("effective", 5), ("full", 10)):
+        meta = load_json(out / f"cavity_{model}_meta.json")
+        assert meta["model"] == model and meta["entries"] == entries
+        assert meta["dt"] == 0.001 and meta["halved"] is False
+        assert 0.0 <= meta["trace_worst"] < 1e-6
+    assert load_json(out / "cavity_effective_meta.json")["dropped_uniform_field"] > 0.0
 
     assert main(["cavity", "compare", str(eff_csv), str(eff_csv),
                  "--out", str(out)]) == 0
