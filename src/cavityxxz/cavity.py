@@ -145,9 +145,10 @@ def effective_hamiltonian(cp: CavityParams) -> np.ndarray:
     return _chain_hamiltonian(cp.j_xx / cp.j_z, j_lr, cp.n_sites)
 
 
-def _rk4(r, lv, h_step, n_steps, stride):
-    """``n_steps`` RK4 steps of dr/dt = lv r from r, sampled every ``stride`` steps
-    and after the last; returns the stacked samples, r included.
+def _rk4(r, lv, reads, h_step, n_steps, stride):
+    """``n_steps`` RK4 steps of dr/dt = lv r from r, read every ``stride`` steps
+    and after the last; returns ``reads @ r`` of every sample, r's included, and
+    the final r.
 
     For a constant dense ``lv`` one RK4 step is exactly r <- P r with
     P = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so a sample costs one product
@@ -158,13 +159,15 @@ def _rk4(r, lv, h_step, n_steps, stride):
     step = eye + hl @ (eye + hl / 2.0 @ (eye + hl / 3.0 @ (eye + hl / 4.0)))
     n_full, tail = divmod(n_steps, stride)
     jump = np.linalg.matrix_power(step, stride)
-    states = np.empty((n_full + 1 + (tail > 0), r.shape[0]), dtype=complex)
-    states[0] = r
-    for k in range(n_full):
-        np.matmul(jump, states[k], out=states[k + 1])
+    values = np.empty((n_full + 1 + (tail > 0), reads.shape[0]), dtype=complex)
+    values[0] = reads @ r
+    for k in range(1, n_full + 1):
+        r = jump @ r
+        values[k] = reads @ r
     if tail:
-        np.matmul(np.linalg.matrix_power(step, tail), states[n_full], out=states[-1])
-    return states
+        r = np.linalg.matrix_power(step, tail) @ r
+        values[-1] = reads @ r
+    return values, r
 
 
 def _liouvillian(hamiltonian, jumps) -> sparse.csr_matrix:
@@ -219,19 +222,14 @@ def _evolve(rho0, hamiltonian, jumps, t_end, dt, sigma_z_ops, photon_op, meta) -
     for attempt, h_step in enumerate((dt, dt / 2.0)):
         n_steps = max(1, int(round(t_end / h_step)))
         stride = -(-n_steps // (MAX_SAMPLES - 1))  # ceiling: at most MAX_SAMPLES samples
-        steps = np.arange(0, n_steps + 1, stride)
-        if steps[-1] != n_steps:
-            steps = np.append(steps, n_steps)
-
-        states = _rk4(r0[entries], lv_r, h_step, n_steps, stride)
-        values = states @ reads.T
+        values, last = _rk4(r0[entries], lv_r, reads, h_step, n_steps, stride)
         trace_error = np.abs(values[:, 0].real - 1.0) + np.abs(values[:, 0].imag)
         worst = float(trace_error.max())
         if worst <= TRACE_TOL:
             final = np.zeros(d * d, dtype=complex)
-            final[entries] = states[-1]
+            final[entries] = last
             return Trajectory(
-                times=steps * h_step,
+                times=np.minimum(np.arange(len(values)) * stride, n_steps) * h_step,
                 sigma_z=values[:, 1:1 + n].real,
                 photon=values[:, 1 + n].real if photon_op is not None else None,
                 trace_error=trace_error,

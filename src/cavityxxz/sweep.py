@@ -10,10 +10,9 @@ rerun when their record file exists and was computed under the same settings.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,33 +114,6 @@ def _run_point_task(task: dict) -> dict:
                      task["base_seed"], task["indices"])
 
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                    "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
-
-
-@contextmanager
-def _worker_pool(workers: int):
-    """A spawned process pool whose workers run BLAS on one thread each, or None
-    for ``workers`` <= 1.
-
-    Workers inherit the environment when they start, so each thread variable the
-    caller has not set reads "1" there; the parent's environment is restored on
-    exit.  Default BLAS threading in every worker oversubscribes the cores.
-    """
-    if workers <= 1:
-        yield None
-        return
-    added = [var for var in BLAS_THREAD_VARS if var not in os.environ]
-    os.environ.update(dict.fromkeys(added, "1"))
-    try:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            yield pool
-    finally:
-        for var in added:
-            os.environ.pop(var, None)
-
-
 def record_filename(alpha: float, j: float) -> str:
     return f"point_a{alpha:.6g}_j{j:.6g}.json"
 
@@ -176,7 +148,7 @@ def run_sweep(grid: SweepGrid, settings: dict, out_dir, base_seed: int = 0,
             else:
                 tasks.append(task)
 
-    with _worker_pool(workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         results = pool.map(_run_point_task, tasks) if pool else map(_run_point_task, tasks)
         for task, record in zip(tasks, results):
             record["meta"]["fingerprint"] = _fingerprint(task)

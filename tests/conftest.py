@@ -6,16 +6,7 @@ builders.  Local basis order matches the package convention: index 0 = down,
 1 = up, site 0 = least significant factor.
 """
 
-import os
-
-# BLAS results move in their last digits with the thread count, and sweep
-# records are compared byte for byte; `run_sweep` workers run BLAS on one
-# thread, so the test process does too.  Set before numpy loads BLAS.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-import numpy as np  # noqa: E402
+import numpy as np
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)

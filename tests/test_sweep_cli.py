@@ -9,8 +9,7 @@ from cavityxxz.cli import main
 from cavityxxz.config import parse_config
 from cavityxxz.errors import InvalidParams
 from cavityxxz.records import load_json
-from cavityxxz.sweep import (BLAS_THREAD_VARS, SweepGrid, point_seed, run_point, run_sweep,
-                             _worker_pool)
+from cavityxxz.sweep import SweepGrid, point_seed, run_point, run_sweep
 from cavityxxz.tensornet.dmrg import chi_schedule
 
 FAST = {"chi_max": 32, "max_sweeps": 20, "truncation_cut": 1e-6, "energy_tol": 1e-9}
@@ -168,16 +167,6 @@ def test_run_sweep_parallel_matches_serial(tmp_path):
         b = load_json(parallel / "records" / f"point_a1.5_j{j}.json")
         assert strip_meta(a) == strip_meta(b)
     assert (serial / "records.csv").read_bytes() == (parallel / "records.csv").read_bytes()
-
-
-def test_worker_pool_runs_blas_on_one_thread(monkeypatch):
-    for var in BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("OMP_NUM_THREADS", "2")  # the caller's own setting wins
-    with _worker_pool(2) as pool:
-        seen = dict(zip(BLAS_THREAD_VARS, pool.map(os.getenv, BLAS_THREAD_VARS)))
-    assert seen == dict(dict.fromkeys(BLAS_THREAD_VARS, "1"), OMP_NUM_THREADS="2")
-    assert [var for var in BLAS_THREAD_VARS if var in os.environ] == ["OMP_NUM_THREADS"]
 
 
 def test_cli_ed(tmp_path, capsys):
