@@ -7,8 +7,6 @@ central-charge phase diagnostics plus the cavity-QED parameter mapping.
 
 from .analysis import (
     CentralChargeFit,
-    EntropyScalingSeries,
-    PhasePoint,
     classify_phase,
     fit_central_charge,
     order_parameters,

@@ -35,24 +35,6 @@ BOOTSTRAP_SAMPLES = 200
 
 
 @dataclass(frozen=True)
-class EntropyScalingSeries:
-    """Half-chain entropies S(L) at fixed couplings, L strictly increasing."""
-
-    points: tuple
-    alpha: float | None = None
-    j_lr: float | None = None
-
-    def __post_init__(self):
-        ls = [p[0] for p in self.points]
-        if len(ls) < MIN_FIT_POINTS:
-            raise InvalidParams(f"need at least {MIN_FIT_POINTS} sizes, got {len(ls)}")
-        if any(b <= a for a, b in zip(ls, ls[1:])):
-            raise InvalidParams("chain lengths must be strictly increasing")
-        if ls[0] < 8:
-            raise InvalidParams("entropy scaling needs L >= 8")
-
-
-@dataclass(frozen=True)
 class CentralChargeFit:
     """c and offset from the least-squares fit, with RMS residual and a
     bootstrap confidence half-width; c is never reported bare."""
@@ -70,10 +52,11 @@ def _lstsq_c(ls: np.ndarray, ss: np.ndarray):
     return float(coef[0]), float(coef[1]), float(np.sqrt(np.mean(resid**2)))
 
 
-def fit_central_charge(series, bootstrap: int = BOOTSTRAP_SAMPLES,
+def fit_central_charge(points, bootstrap: int = BOOTSTRAP_SAMPLES,
                        seed: int = 0) -> CentralChargeFit:
-    """Fit S = (c/6) ln L + offset; bootstrap over points for the half-width."""
-    points = series.points if isinstance(series, EntropyScalingSeries) else tuple(series)
+    """Fit S = (c/6) ln L + offset to (L, S) pairs; bootstrap over points for
+    the half-width."""
+    points = tuple(points)
     if len(points) < MIN_FIT_POINTS:
         raise InsufficientPoints(f"need at least {MIN_FIT_POINTS} points, got {len(points)}")
     ls = np.array([p[0] for p in points], dtype=float)
@@ -118,14 +101,13 @@ def order_parameters(sz_profile, cpm) -> tuple[float, float]:
     return sigma_z_mean, float(plateau)
 
 
-def classify_phase(c_fit, sigma_z_mean: float) -> str:
+def classify_phase(c: float, sigma_z_mean: float) -> str:
     """Label a phase point from its fitted c and the bulk magnetization.
 
     FM: polarized (sigma_z_mean > 0.5) with c below the FM threshold;
     XY_SSB: c > 1 + margin; TLL: c within the margin of 1 and small
     magnetization.  Anything else is labeled Boundary for manual inspection.
     """
-    c = c_fit.c if isinstance(c_fit, CentralChargeFit) else float(c_fit)
     if sigma_z_mean > SIGMA_Z_FM and c <= C_FM_THRESHOLD:
         return PHASE_FM
     if c > 1.0 + C_MARGIN:
@@ -133,15 +115,3 @@ def classify_phase(c_fit, sigma_z_mean: float) -> str:
     if abs(c - 1.0) <= C_MARGIN and sigma_z_mean < SIGMA_Z_SMALL:
         return PHASE_TLL
     return PHASE_BOUNDARY
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """One classified grid point of the phase diagram."""
-
-    alpha: float
-    j_lr: float
-    c_fit: CentralChargeFit
-    sigma_z_mean: float
-    xy_plateau: float
-    label: str

@@ -34,6 +34,7 @@ FULL_PHOTON_LIMIT = 8
 EFFECTIVE_SITE_LIMIT = 6
 TRACE_TOL = 1e-6
 MAX_SAMPLES = 2001
+INITIAL_STATES = ("neel", "up", "down")
 
 
 @dataclass(frozen=True)
@@ -122,13 +123,13 @@ def _chain_hamiltonian(alpha: float, j_lr: float, n_sites: int) -> np.ndarray:
 
 
 def _initial_spin_state(n_sites: int, which: str) -> int:
+    if which not in INITIAL_STATES:
+        raise InvalidParams(f"unknown initial state {which!r}")
     if which == "up":
         return (1 << n_sites) - 1
     if which == "down":
         return 0
-    if which == "neel":
-        return sum(1 << i for i in range(0, n_sites, 2))
-    raise InvalidParams(f"unknown initial state {which!r}")
+    return sum(1 << i for i in range(0, n_sites, 2))  # neel
 
 
 def initial_density_matrix(n_sites: int, which: str = "neel") -> np.ndarray:
@@ -301,9 +302,13 @@ def simulate_effective(cp: CavityParams, t_end: float, dt: float,
 
 
 def compare_trajectories(a: Trajectory, b: Trajectory) -> dict:
-    """Per-observable max |deviation| and when it occurs; grids must match."""
+    """Per-observable max |deviation| and when it occurs; time grids and site
+    counts must match."""
     if a.times.shape != b.times.shape or not np.allclose(a.times, b.times, atol=1e-12):
         raise GridMismatch("trajectories were sampled on different time grids")
+    if a.sigma_z.shape[1] != b.sigma_z.shape[1]:
+        raise GridMismatch(f"trajectories have {a.sigma_z.shape[1]} and "
+                           f"{b.sigma_z.shape[1]} sites")
     report = {}
     for i in range(a.sigma_z.shape[1]):
         dev = np.abs(a.sigma_z[:, i] - b.sigma_z[:, i])

@@ -109,11 +109,9 @@ def _emit(args, payload: dict, filename: str) -> None:
 
 
 def _write_csv(path, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(rec.fmt_float(x) if isinstance(x, float) else str(x)
-                              for x in row) + "\n")
+    lines = [header] + [",".join(rec.fmt_float(x) if isinstance(x, float) else str(x)
+                                 for x in row) for row in rows]
+    rec.write_text("\n".join(lines) + "\n", path)
 
 
 def _cmd_ed(args) -> int:
@@ -224,26 +222,34 @@ def _cmd_sweep(args) -> int:
     formats = ("csv", "json") if args.format == "both" else (args.format,)
     settings = {k: cfg[k] for k in DMRG_OPTIONS}
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "sweep.cfg"), "w", encoding="utf-8") as fh:
-        fh.write(emit_config({"sweep": cfg}))
+    rec.write_text(emit_config({"sweep": cfg}), os.path.join(args.out, "sweep.cfg"))
     summary = run_sweep(grid, settings, args.out, base_seed=args.seed,
                         workers=args.workers, formats=formats)
     sys.stdout.write(rec.dump_json(summary))
     return 0
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_entropy_csv(path):
+    """(L, S) from the first two cells of each row; blank lines are skipped, and
+    so is the first row when its first cell is not a number (a header)."""
     points = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.replace(",", " ").split()
-            try:
-                points.append((float(cells[0]), float(cells[1])))
-            except ValueError:
-                continue  # header row
+        lines = [(k, line.strip()) for k, line in enumerate(fh, 1) if line.strip()]
+    if lines and not _is_number(lines[0][1].replace(",", " ").split()[0]):
+        lines = lines[1:]
+    for lineno, line in lines:
+        cells = line.replace(",", " ").split()
+        if len(cells) < 2 or not all(_is_number(x) for x in cells[:2]):
+            raise ParseError(f"{path}: line {lineno}: expected numbers L, S, got {line!r}")
+        points.append((float(cells[0]), float(cells[1])))
     return points
 
 
@@ -259,12 +265,30 @@ def _cmd_fit_c(args) -> int:
     return 0
 
 
+def _read_point(path):
+    """The JSON object in ``path`` and its ``c`` and ``sigma_z_mean`` as floats.
+
+    A sweep record of status ``ok`` or ``partial`` has both; a ``failed`` one
+    holds them as null, which is an error here like any other malformed input.
+    """
+    try:
+        point = rec.load_json(path)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ParseError(f"{path}: not a JSON file ({exc})")
+    values = []
+    for key in ("c", "sigma_z_mean"):
+        try:
+            values.append(float(point[key]))
+        except (KeyError, TypeError, ValueError):
+            raise ParseError(f"{path}: field '{key}' is missing, null or not a number")
+    return point, values
+
+
 def _cmd_classify(args) -> int:
     overrides = {"input": args.input} if args.input else {}
     cfg = section_with_defaults(_sections(args), "classify", overrides)
-    point = rec.load_json(cfg["input"])
-    c = point["c"] if "c" in point else point["c_fit"]["c"]
-    label = classify_phase(float(c), float(point["sigma_z_mean"]))
+    point, (c, sigma_z_mean) = _read_point(cfg["input"])
+    label = classify_phase(c, sigma_z_mean)
     payload = dict(point, label=label)
     _emit(args, payload, "classified.json")
     return 0
@@ -286,17 +310,22 @@ def _trajectory_csv_rows(traj: Trajectory):
 
 
 def _load_trajectory_csv(path) -> Trajectory:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    cols = {name: i for i, name in enumerate(header)}
-    sz_cols = [cols[h] for h in header if h.startswith("sz_")]
-    return Trajectory(
-        times=data[:, cols["t"]],
-        sigma_z=data[:, sz_cols],
-        photon=data[:, cols["photon"]] if "photon" in cols else None,
-        trace_error=data[:, cols["trace_error"]],
-    )
+    """A CSV as ``cavity simulate`` writes it: columns t, trace_error, sz_<i>
+    and, for the full model, photon."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        cols = {name: i for i, name in enumerate(header)}
+        sz_cols = [cols[h] for h in header if h.startswith("sz_")]
+        return Trajectory(
+            times=data[:, cols["t"]],
+            sigma_z=data[:, sz_cols],
+            photon=data[:, cols["photon"]] if "photon" in cols else None,
+            trace_error=data[:, cols["trace_error"]],
+        )
+    except (KeyError, IndexError, ValueError) as exc:
+        raise ParseError(f"{path}: not a trajectory CSV ({type(exc).__name__}: {exc})")
 
 
 def _cmd_cavity(args) -> int:

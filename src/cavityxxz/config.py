@@ -3,7 +3,8 @@
 Format: INI-like sections ``[name]`` holding ``key = value`` lines; ``#`` or
 ``;`` start comment lines.  Parsing is strict: unknown sections or keys are
 errors (with line context), as are duplicates and type mismatches.  Defaults
-are documented here in the schemas and filled by ``section_with_defaults``;
+are listed in the schemas and filled by ``section_with_defaults``; a default or
+choice list that a library module owns is read from that module, not restated.
 ``emit_config`` writes a canonical file that round-trips through the parser.
 """
 
@@ -11,7 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .analysis import BOOTSTRAP_SAMPLES
+from .cavity import INITIAL_STATES
 from .errors import ParseError
+from .exactdiag import METHODS
+from .spinwave import DEFAULT_N_LADDER
+from .tensornet import DmrgConfig
 
 REQUIRED = object()
 
@@ -25,10 +31,10 @@ class Option:
 
 # The DmrgConfig fields a run takes from its [dmrg] or [sweep] section.
 DMRG_OPTIONS: dict[str, Option] = {
-    "chi_max": Option("int", 128),
-    "max_sweeps": Option("int", 30),
-    "truncation_cut": Option("float", 1e-6),
-    "energy_tol": Option("float", 1e-9),
+    "chi_max": Option("int", DmrgConfig.chi_max),
+    "max_sweeps": Option("int", DmrgConfig.max_sweeps),
+    "truncation_cut": Option("float", DmrgConfig.truncation_cut),
+    "energy_tol": Option("float", DmrgConfig.energy_tol),
 }
 
 SCHEMAS: dict[str, dict[str, Option]] = {
@@ -37,14 +43,14 @@ SCHEMAS: dict[str, dict[str, Option]] = {
         "j": Option("float", 0.0),
         "n": Option("int"),
         "n_up": Option("int", None),
-        "method": Option("str", "auto", choices=("auto", "dense")),
+        "method": Option("str", "auto", choices=METHODS),
         "cut": Option("int", None),
     },
     "spinwave": {
         "alpha": Option("float"),
         "j": Option("float", 0.0),
         "n": Option("int", 256),
-        "n_list": Option("ints", (64, 128, 256, 512, 1024, 2048, 4096)),
+        "n_list": Option("ints", DEFAULT_N_LADDER),
     },
     "dmrg": {
         "alpha": Option("float"),
@@ -69,12 +75,12 @@ SCHEMAS: dict[str, dict[str, Option]] = {
         "n_max": Option("int", 6),
         "t_end": Option("float", 10.0),
         "dt": Option("float", 1e-3),
-        "initial": Option("str", "neel", choices=("neel", "up", "down")),
+        "initial": Option("str", "neel", choices=INITIAL_STATES),
         "include_dissipator": Option("bool", True),
     },
     "fit-c": {
         "input": Option("str"),
-        "bootstrap": Option("int", 200),
+        "bootstrap": Option("int", BOOTSTRAP_SAMPLES),
     },
     "classify": {
         "input": Option("str"),

@@ -29,14 +29,6 @@ class NoConvergence(CavityXXZError):
         super().__init__(msg)
 
 
-class NotConverged(CavityXXZError):
-    """DMRG sweep loop hit max_sweeps before reaching the energy tolerance."""
-
-    def __init__(self, max_sweeps):
-        self.max_sweeps = max_sweeps
-        super().__init__(f"not converged within {max_sweeps} sweeps")
-
-
 class InvalidCut(CavityXXZError):
     """Entanglement cut index outside 1..N-1."""
 

@@ -28,6 +28,7 @@ LANCZOS_TOL = 1e-10
 LANCZOS_MAX_ITER = 500
 DEGENERACY_TOL = 1e-9
 RESIDUAL_TOL = 1e-8
+METHODS = ("auto", "dense")
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +105,7 @@ def sector_ground_state(p: ModelParams, n_up: int, method: str = "auto",
     """
     basis = sector_basis(p.n_sites, n_up)
     dim = basis.size
-    if method not in ("auto", "dense"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     matvec = make_sector_matvec(p, basis)
     if method == "dense":

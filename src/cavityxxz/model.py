@@ -79,9 +79,6 @@ class SectorBasis:
     def size(self) -> int:
         return self.states.shape[0]
 
-    def __len__(self) -> int:
-        return self.size
-
     def index_of(self, state: int) -> int:
         return int(_rank(self.states, state))
 

@@ -3,7 +3,8 @@
 Floating-point values are quantized to 12 significant digits before
 serialization, JSON keys are sorted, and timestamps live only in the ``meta``
 field of a record, so identical runs produce byte-identical files once
-``meta`` is excluded.
+``meta`` is excluded.  Every file is written by ``write_text``: to a temporary
+name, then renamed.
 """
 
 from __future__ import annotations
@@ -40,11 +41,16 @@ def dump_json(obj) -> str:
     return json.dumps(quantize(obj), sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
-def write_json(obj, path):
+def write_text(text: str, path):
+    """Write through a temporary file and rename, so ``path`` is never partial."""
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(obj))
+        fh.write(text)
     os.replace(tmp, path)
+
+
+def write_json(obj, path):
+    write_text(dump_json(obj), path)
 
 
 def load_json(path):
@@ -86,23 +92,19 @@ def record_rows(record: dict) -> list[str]:
     return rows
 
 
-def emit_records(records: list[dict], out_dir, formats=("csv", "json"),
-                 basename: str = "records") -> list[str]:
-    """Write the aggregate CSV and/or JSON; returns the paths written."""
+def emit_records(records: list[dict], out_dir, formats=("csv", "json")) -> list[str]:
+    """Write the aggregate records.csv and/or records.json; returns the paths written."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
     if "csv" in formats:
-        path = os.path.join(out_dir, f"{basename}.csv")
+        path = os.path.join(out_dir, "records.csv")
         lines = [CSV_HEADER]
         for record in records:
             lines.extend(record_rows(record))
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
+        write_text("\n".join(lines) + "\n", path)
         written.append(path)
     if "json" in formats:
-        path = os.path.join(out_dir, f"{basename}.json")
+        path = os.path.join(out_dir, "records.json")
         stripped = [{k: v for k, v in r.items() if k != "meta"} for r in records]
         write_json({"schema_version": SCHEMA_VERSION, "records": stripped}, path)
         written.append(path)

@@ -233,7 +233,7 @@ def xy_integrand(alpha: float, j_lr: float, q) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def excitation_density(p: ModelParams, n_list=None) -> ExcitationDensityResult:
+def excitation_density(p: ModelParams, n_list=DEFAULT_N_LADDER) -> ExcitationDensityResult:
     """Bogoliubov excitation density (1/2N) sum_{k != 0} ([1 - mu^2/omega^2]^(-1/2) - 1).
 
     Evaluated for each size in ``n_list`` (increasing, even), then fitted
@@ -241,7 +241,7 @@ def excitation_density(p: ModelParams, n_list=None) -> ExcitationDensityResult:
     series as log-divergent.  The k = 0 mode is excluded from the sum.
     Raises ModeInstability if any sampled mode has omega^2 < mu^2.
     """
-    ns = tuple(n_list) if n_list is not None else DEFAULT_N_LADDER
+    ns = tuple(n_list)
     if any(n % 2 for n in ns) or list(ns) != sorted(set(ns)):
         raise InvalidParams("n_list must be an increasing list of even sizes")
     series: list[tuple[int, float]] = []
@@ -276,7 +276,7 @@ def excitation_density(p: ModelParams, n_list=None) -> ExcitationDensityResult:
     )
 
 
-def classify_spinwave(p: ModelParams, n_list=None) -> str:
+def classify_spinwave(p: ModelParams, n_list=DEFAULT_N_LADDER) -> str:
     """Phase label from spin-wave theory: FM, TLL, or XY_SSB.
 
     FM below the soft-mode boundary; on the J = 0 line above it the

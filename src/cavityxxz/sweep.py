@@ -100,7 +100,7 @@ def run_point(alpha: float, j: float, sizes, settings: dict, base_seed: int,
             c_ci_halfwidth=fit.ci_halfwidth,
             sigma_z_mean=largest_ok["sigma_z_mean"],
             xy_plateau=largest_ok["xy_plateau"],
-            label=classify_phase(fit, largest_ok["sigma_z_mean"]),
+            label=classify_phase(fit.c, largest_ok["sigma_z_mean"]),
             status="ok" if all(e.get("status") == "ok" for e in size_entries) else "partial",
         )
     except (InsufficientPoints, ValueError):

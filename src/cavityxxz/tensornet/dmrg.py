@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import InvalidParams, NotConverged
+from ..errors import InvalidParams
 from ..krylov import lowest_eigenpair
 from ..model import ModelParams
 from .mpo import MatrixProductOperator, _advance, _advance_right, build_mpo, expectation
@@ -105,13 +105,14 @@ def _local_matvec(lenv, w1, w2, renv, theta):
     return t.reshape(a, w1.shape[1], w2.shape[1], d)
 
 
-def _lanczos_warm(apply_h, v0, tol, max_iter=_LOCAL_MAX_ITER):
+def _lanczos_warm(apply_h, v0):
     """Lowest eigenpair by Lanczos warm-started from v0; never raises.
 
-    Capped iteration count: an unconverged local solve still lowers the
-    Rayleigh quotient, and the outer sweeps polish the rest.
+    Capped at _LOCAL_MAX_ITER matvecs at tolerance _LOCAL_TOL: an unconverged
+    local solve still lowers the Rayleigh quotient, and the outer sweeps
+    polish the rest.
     """
-    return lowest_eigenpair(apply_h, v0, tol, max_iter)[:2]
+    return lowest_eigenpair(apply_h, v0, _LOCAL_TOL, _LOCAL_MAX_ITER)[:2]
 
 
 def _dense_heff(lenv, w1, w2, renv):
@@ -121,7 +122,7 @@ def _dense_heff(lenv, w1, w2, renv):
     return heff.reshape(dim, dim)
 
 
-def _solve_local(lenv, w1, w2, renv, theta0, tol):
+def _solve_local(lenv, w1, w2, renv, theta0):
     """Lowest eigenpair of the two-site effective Hamiltonian."""
     shape = theta0.shape
     if theta0.size <= _DENSE_LOCAL_DIM:
@@ -131,7 +132,7 @@ def _solve_local(lenv, w1, w2, renv, theta0, tol):
     def apply_h(x):
         return _local_matvec(lenv, w1, w2, renv, x.reshape(shape)).ravel()
 
-    theta, vec = _lanczos_warm(apply_h, theta0.ravel(), tol)
+    theta, vec = _lanczos_warm(apply_h, theta0.ravel())
     return theta, vec.reshape(shape)
 
 
@@ -162,13 +163,12 @@ def _split(theta, chi_max):
     )
 
 
-def dmrg_ground_state(p: ModelParams, config: DmrgConfig = DmrgConfig(),
-                      strict: bool = False):
+def dmrg_ground_state(p: ModelParams, config: DmrgConfig = DmrgConfig()):
     """Run two-site DMRG on the pinned chain H; returns (mps, DmrgReport).
 
     The report's energy is that of the unpinned H; ``energies_per_sweep``
-    are those of the swept, pinned one.  ``strict=True`` raises NotConverged
-    instead of returning a flagged report.
+    are those of the swept, pinned one.  A run that hits ``max_sweeps`` first
+    is flagged in the report, not raised.
     """
     mpo = build_mpo(p, pin_strength=PIN_STRENGTH)
     schedule = chi_schedule(config.chi_max)
@@ -193,7 +193,7 @@ def dmrg_ground_state(p: ModelParams, config: DmrgConfig = DmrgConfig(),
         for i, rightward in bonds:
             theta0 = np.tensordot(mps.tensors[i], mps.tensors[i + 1], ([2], [0]))
             _, theta = _solve_local(lefts[i], mpo.tensors[i], mpo.tensors[i + 1],
-                                    rights[i + 2], theta0, _LOCAL_TOL)
+                                    rights[i + 2], theta0)
             u, s, vh, disc = _split(theta, chi)
             max_disc = max(max_disc, disc)
             if rightward:
@@ -213,9 +213,6 @@ def dmrg_ground_state(p: ModelParams, config: DmrgConfig = DmrgConfig(),
         if sweep >= len(schedule) and abs(energies[-1] - energies[-2]) < config.energy_tol:
             converged = True
             break
-
-    if strict and not converged:
-        raise NotConverged(config.max_sweeps)
 
     if max_disc_last_sweep > config.truncation_cut:
         status = "truncation_exceeded"

@@ -42,9 +42,6 @@ class MatrixProductState:
         """Interior bond dimensions, bonds 1..N-1."""
         return [t.shape[2] for t in self.tensors[:-1]]
 
-    def copy(self) -> "MatrixProductState":
-        return MatrixProductState([t.copy() for t in self.tensors], self.center, self.seed)
-
     def norm(self) -> float:
         if self.center is not None:
             return float(np.linalg.norm(self.tensors[self.center]))

@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 
 from cavityxxz.analysis import (
-    CentralChargeFit,
-    EntropyScalingSeries,
     PHASE_BOUNDARY,
     PHASE_FM,
     PHASE_TLL,
     PHASE_XY,
-    PhasePoint,
     bulk_window,
     classify_phase,
     fit_central_charge,
@@ -57,18 +54,6 @@ def test_fit_requires_three_points():
         fit_central_charge([(16, 0.5), (32, 0.6)])
 
 
-def test_series_validation():
-    with pytest.raises(InvalidParams):
-        EntropyScalingSeries(points=((16, 0.1), (16, 0.2), (32, 0.3)))
-    with pytest.raises(InvalidParams):
-        EntropyScalingSeries(points=((4, 0.1), (8, 0.2), (16, 0.3)))
-    with pytest.raises(InvalidParams):
-        EntropyScalingSeries(points=((16, 0.1), (32, 0.2)))
-    series = EntropyScalingSeries(points=((16, 0.1), (32, 0.2), (64, 0.3)),
-                                  alpha=1.5, j_lr=0.0)
-    assert fit_central_charge(series).c > 0
-
-
 def test_bulk_window():
     assert bulk_window(16) == (4, 12)
     assert bulk_window(10) == (2, 8)
@@ -107,15 +92,6 @@ def test_classification_rules():
     assert classify_phase(0.6, 0.3) == PHASE_BOUNDARY
     # polarized but with large fitted c is not a clean ferromagnet
     assert classify_phase(0.8, 0.9) == PHASE_BOUNDARY
-    fit = CentralChargeFit(c=1.5, offset=0.2, residual=1e-3, ci_halfwidth=0.05)
-    assert classify_phase(fit, 0.0) == PHASE_XY
-
-
-def test_phase_point_container():
-    fit = CentralChargeFit(c=0.0, offset=0.0, residual=0.0, ci_halfwidth=0.0)
-    point = PhasePoint(alpha=0.5, j_lr=1.0, c_fit=fit, sigma_z_mean=1.0,
-                       xy_plateau=0.0, label=classify_phase(fit, 1.0))
-    assert point.label == PHASE_FM
 
 
 def test_effective_charge_non_decreasing_in_coupling():

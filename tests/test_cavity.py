@@ -249,6 +249,15 @@ def test_compare_trajectories_contract():
         compare_trajectories(a, b)
 
 
+def test_compare_trajectories_rejects_different_site_counts():
+    def run(n_sites):
+        cp = CavityParams(g=0.1, delta_c=10.0, kappa=1.0, j_xx=1.0, j_z=1.0, n_sites=n_sites)
+        return simulate_effective(cp, t_end=0.1, dt=1e-3)
+
+    with pytest.raises(GridMismatch, match="sites"):
+        compare_trajectories(run(3), run(2))
+
+
 def test_trajectory_keeps_the_sample_cap():
     # criterion-9 inputs: 12,500 RK4 steps, thinned to at most MAX_SAMPLES samples
     cp = CavityParams(g=0.25, delta_c=100.0, kappa=5.0, j_xx=1.0, j_z=1.0, n_sites=2)

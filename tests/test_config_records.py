@@ -12,6 +12,7 @@ from cavityxxz.records import (
     load_json,
     quantize,
     record_rows,
+    write_text,
 )
 
 
@@ -137,3 +138,11 @@ def test_emit_records_rows_and_roundtrip(tmp_path):
     assert out.encode() == first
     # meta is excluded from aggregates
     assert "written_at" not in json.dumps(loaded)
+
+
+def test_write_text_replaces_the_file_whole(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("old contents that are longer\n")
+    write_text("a,b\n1,2\n", path)
+    assert path.read_bytes() == b"a,b\n1,2\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

@@ -1,8 +1,10 @@
 """The README's examples run as written."""
 
 import re
+import shlex
 from pathlib import Path
 
+from cavityxxz.cli import _build_parser
 from cavityxxz.config import parse_config
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -26,3 +28,12 @@ def test_readme_library_example_runs():
     assert blocks
     for text in blocks:
         exec(compile(text, "README.md", "exec"), {})
+
+
+def test_readme_cli_lines_parse():
+    commands = [shlex.split(line, comments=True)
+                for text in _blocks("sh") for line in text.splitlines()
+                if line.startswith("cavityxxz ")]
+    assert commands
+    for argv in commands:
+        _build_parser().parse_args(argv[1:])  # a usage error raises ParseError

@@ -8,7 +8,7 @@ from cavityxxz import sweep
 from cavityxxz.cli import main
 from cavityxxz.config import parse_config
 from cavityxxz.errors import InvalidParams
-from cavityxxz.records import load_json
+from cavityxxz.records import load_json, write_json
 from cavityxxz.sweep import SweepGrid, point_seed, run_point, run_sweep
 from cavityxxz.tensornet.dmrg import chi_schedule
 
@@ -274,6 +274,58 @@ def test_cli_fit_and_classify(tmp_path, capsys):
     assert main(["classify", str(point)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["label"] == "XY_SSB"
+
+
+def test_cli_classify_rejects_records_it_cannot_label(tmp_path, capsys):
+    failed = run_point(0.5, 0.5, (12,), dict(FAST, chi_max=0), base_seed=0)
+    assert failed["status"] == "failed" and failed["c"] is None
+    path = tmp_path / "failed.json"
+    write_json(failed, path)
+    assert main(["classify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err and "'c'" in err
+
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("alpha = 1.5\n")
+    assert main(["classify", str(garbage)]) == 1
+    assert str(garbage) in capsys.readouterr().err
+
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps({"c": 1.6}))
+    assert main(["classify", str(partial)]) == 1
+    assert "'sigma_z_mean'" in capsys.readouterr().err
+
+
+def test_cli_fit_c_rejects_malformed_rows(tmp_path, capsys):
+    rows = [f"{l},{np.log(l) / 6.0 + 0.2}" for l in (16, 24, 32, 48)]
+    csv = tmp_path / "entropy.csv"
+    csv.write_text("\n".join(rows) + "\n\n")  # no header, trailing blank line
+    assert main(["fit-c", str(csv)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["points"]) == 4
+    for bad, lineno in (("16", 3), ("16,abc", 3), ("L,S", 3)):
+        csv.write_text("\n".join(["L,S", rows[0], bad] + rows[1:]) + "\n")
+        assert main(["fit-c", str(csv)]) == 1
+        assert f"line {lineno}:" in capsys.readouterr().err
+
+
+def test_cli_cavity_compare_rejects_different_site_counts(tmp_path, capsys):
+    two = tmp_path / "two.csv"
+    three = tmp_path / "three.csv"
+    two.write_text("t,trace_error,sz_0,sz_1\n0,0,1,-1\n1,0,0.5,-0.5\n")
+    three.write_text("t,trace_error,sz_0,sz_1,sz_2\n0,0,1,-1,1\n1,0,0.5,-0.5,0.5\n")
+    assert main(["cavity", "compare", str(three), str(two)]) == 2
+    assert "sites" in capsys.readouterr().err
+
+
+def test_cli_cavity_compare_rejects_malformed_csv(tmp_path, capsys):
+    good = tmp_path / "good.csv"
+    good.write_text("t,trace_error,sz_0\n0,0,1\n1,0,0.5\n")
+    for name, text in (("no_t.csv", "time,trace_error,sz_0\n0,0,1\n"),
+                       ("text.csv", "t,trace_error,sz_0\n0,0,abc\n")):
+        bad = tmp_path / name
+        bad.write_text(text)
+        assert main(["cavity", "compare", str(good), str(bad)]) == 1
+        assert str(bad) in capsys.readouterr().err
 
 
 def test_cli_cavity_map_simulate_compare(tmp_path, capsys):
