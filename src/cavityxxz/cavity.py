@@ -10,12 +10,12 @@ the evolution is almost unitary and the chain realizes the dimensionless
 model with J/N = 4 g^2 / (Delta_c J_z) and alpha = J_xx / J_z.
 
 Both the full spin+photon master equation and the reduced spin-only one are
-written once as a sparse Liouvillian L on the flattened density matrix and
-stepped by the same fixed-step RK4, so the elimination can be validated
-directly.  Only the block of L on the entries of rho that L can reach from the
-initial state is made dense; since L is constant, n RK4 steps are one product
-with the n-th power of the RK4 step matrix, and each sample costs one such
-product.
+written once as the terms (c, A, B) of their generator, L rho = sum c A rho B,
+and stepped by the same fixed-step RK4, so the elimination can be validated
+directly.  The terms give the entries of rho that L can reach from the initial
+state and the dense block of L on them; since L is constant, n RK4 steps are
+one product with the n-th power of the RK4 step matrix, and each sample costs
+one such product.
 All rates are scaled by J_z; trajectory times are the dimensionless tau = J_z t.
 """
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import GridMismatch, InvalidParams, SizeExceeded, TraceDrift
 from .model import SM, SZ, ModelParams, build_dense_hamiltonian
@@ -171,51 +170,58 @@ def _rk4(r, lv, reads, h_step, n_steps, stride):
     return values, r
 
 
-def _liouvillian(hamiltonian, jumps) -> sparse.csr_matrix:
-    """Sparse generator L of drho/dt = -i[H, rho] + sum_k rate (J rho J+ - {J+J, rho}/2).
-
-    L acts on the row-major flattened rho, where A rho B becomes
-    kron(A, B^T) vec(rho).  It stays sparse; ``_evolve`` makes dense only the
-    block on the entries of rho that L can reach.
-    """
-    eye = sparse.identity(hamiltonian.shape[0], format="csr")
-    h = sparse.csr_matrix(hamiltonian)
-    lv = -1j * (sparse.kron(h, eye) - sparse.kron(eye, h.T))
+def _liouvillian_terms(hamiltonian, jumps) -> list:
+    """The generator of drho/dt = -i[H, rho] + sum_k rate (J rho J+ - {J+J, rho}/2)
+    as its terms (c, A, B), with L rho = sum c A rho B."""
+    eye = np.eye(hamiltonian.shape[0])
+    terms = [(-1j, hamiltonian, eye), (1j, eye, hamiltonian)]
     for rate, op in jumps:
-        op = sparse.csr_matrix(op)
-        decay = op.conj().T @ op
-        lv = lv + rate * (sparse.kron(op, op.conj())
-                          - 0.5 * sparse.kron(decay, eye) - 0.5 * sparse.kron(eye, decay.T))
-    return lv.tocsr()
+        dagger = op.conj().T
+        decay = dagger @ op
+        terms += [(rate, op, dagger), (-rate / 2.0, decay, eye), (-rate / 2.0, eye, decay)]
+    return terms
 
 
-def _reachable(lv, r0) -> np.ndarray:
-    """Mask of the entries of vec(rho) that L's sparsity pattern reaches from the
-    nonzeros of r0; every other entry stays exactly 0 under any L-polynomial."""
-    pattern = sparse.csr_matrix((np.ones(lv.nnz), lv.indices, lv.indptr), shape=lv.shape)
-    mask = r0 != 0
+def _reachable(terms, rho0) -> np.ndarray:
+    """Mask of the entries of rho that the terms of L reach from the nonzeros of
+    rho0; every other entry stays exactly 0 under any L-polynomial."""
+    patterns = [((a != 0).astype(float), (b != 0).astype(float)) for _, a, b in terms]
+    mask = rho0 != 0
     while True:
-        grown = mask | (pattern @ mask.astype(float) > 0)
+        grown, weights = mask.copy(), mask.astype(float)
+        for a, b in patterns:
+            grown |= a @ weights @ b > 0
         if np.array_equal(grown, mask):
             return mask
         mask = grown
 
 
+def _liouvillian_block(terms, entries) -> np.ndarray:
+    """Dense L[R, R] on the entries R of the row-major flattened rho marked in
+    ``entries``: A rho B maps entry (p, q) to (m, n) with weight A[m, p] B[q, n]."""
+    m, n = np.nonzero(entries)
+    block = np.zeros((m.shape[0], m.shape[0]), dtype=complex)
+    for c, a, b in terms:
+        block += c * (a[m[:, None], m[None, :]] * b[n[None, :], n[:, None]])
+    return block
+
+
 def _evolve(rho0, hamiltonian, jumps, t_end, dt, sigma_z_ops, photon_op, meta) -> Trajectory:
-    """Fixed-step RK4 of the master equation on L from ``_liouvillian``.
+    """Fixed-step RK4 of the master equation with the generator L of
+    ``_liouvillian_terms``.
 
     Only the entries R of vec(rho) that L reaches from rho0 are carried: L[R, R]
-    is made dense and each sample costs one product with the RK4 step matrix
-    raised to the sample stride (``_rk4``).  The trace and every observable are
-    read with one product, since tr(rho O) is vec(O^T) . vec(rho).  If the trace
-    drifts beyond tolerance the step is halved once and the run repeated; a
-    second failure raises TraceDrift.
+    is assembled dense from the terms, and each sample costs one product with
+    the RK4 step matrix raised to the sample stride (``_rk4``).  The trace and
+    every observable are read with one product, since tr(rho O) is
+    vec(O^T) . vec(rho).  If the trace drifts beyond tolerance the step is
+    halved once and the run repeated; a second failure raises TraceDrift.
     """
     d = rho0.shape[0]
-    lv = _liouvillian(hamiltonian, jumps)
-    r0 = rho0.ravel()
-    entries = _reachable(lv, r0)
-    lv_r = lv[entries][:, entries].toarray()
+    terms = _liouvillian_terms(hamiltonian, jumps)
+    reached = _reachable(terms, rho0)
+    lv_r = _liouvillian_block(terms, reached)
+    r0, entries = rho0.ravel(), reached.ravel()
     ops = [np.eye(d)] + sigma_z_ops + ([photon_op] if photon_op is not None else [])
     reads = np.array([op.T.ravel()[entries] for op in ops])
     n = len(sigma_z_ops)

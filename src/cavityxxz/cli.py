@@ -241,8 +241,11 @@ def _read_entropy_csv(path):
     """(L, S) from the first two cells of each row; blank lines are skipped, and
     so is the first row when its first cell is not a number (a header)."""
     points = []
-    with open(path, encoding="utf-8") as fh:
-        lines = [(k, line.strip()) for k, line in enumerate(fh, 1) if line.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [(k, line.strip()) for k, line in enumerate(fh, 1) if line.strip()]
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
     if lines and not _is_number(lines[0][1].replace(",", " ").split()[0]):
         lines = lines[1:]
     for lineno, line in lines:

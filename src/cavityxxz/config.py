@@ -117,8 +117,11 @@ def _convert(opt: Option, key: str, raw: str, lineno: int):
 
 def parse_config(path) -> dict[str, dict]:
     """Parse a config file into {section: {key: typed value}}; strict."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
     sections: dict[str, dict] = {}
     current = None
     for lineno, raw in enumerate(lines, 1):

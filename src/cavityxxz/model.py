@@ -21,11 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DimensionMismatch, InvalidParams, SizeExceeded
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 OPEN = "open"
 PERIODIC = "periodic"
@@ -148,22 +151,37 @@ class SectorOperator:
     lower_t: sparse.csr_matrix | None
 
 
-def sector_operator(p: ModelParams, sector: SectorBasis) -> SectorOperator:
-    """Build the factorized sector operator once; see ``SectorOperator``."""
-    states, dim = sector.states, sector.size
-    zz, flip, lr = amplitudes(p)
+def _sector_bonds(p: ModelParams, sector: SectorBasis):
+    """(diag, bonds) of H in one sector: the ZZ diagonal minus lr * n_up, and
+    per bond the (rows, cols) of its flip-flops, each of amplitude ``flip``.
+    A periodic 2-site chain lists its one bond twice, so the two add up."""
+    states = sector.states
+    zz, _, lr = amplitudes(p)
 
     # sz_i sz_j = -1 on an anti-aligned bond, and only there does the flip-flop act
-    diag = np.zeros(dim)
-    rows, cols = [], []
+    diag = np.zeros(sector.size)
+    bonds = []
     for i, j in _bonds(p):
         anti = ((states >> i) ^ (states >> j)) & 1
         diag += zz * (1 - 2 * anti)
         col = np.flatnonzero(anti)
-        rows.append(_rank(states, states[col] ^ ((1 << i) | (1 << j))))
-        cols.append(col)
+        bonds.append((_rank(states, states[col] ^ ((1 << i) | (1 << j))), col))
     diag -= lr * sector.n_up
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return diag, bonds
+
+
+def sector_operator(p: ModelParams, sector: SectorBasis) -> SectorOperator:
+    """Build the factorized sector operator once; see ``SectorOperator``."""
+    # CSR only for the matvec, imported on first use so that the rest of the
+    # package loads no scipy: at N = 16, dim 12870, one matvec took 387 us in
+    # CSR against 1230 us with np.bincount and 1400 us with np.add.at.
+    from scipy import sparse
+
+    dim = sector.size
+    _, flip, lr = amplitudes(p)
+    diag, bonds = _sector_bonds(p, sector)
+    rows = np.concatenate([r for r, _ in bonds])
+    cols = np.concatenate([c for _, c in bonds])
     hop = sparse.csr_matrix((np.full(rows.shape[0], flip), (rows, cols)),
                             shape=(dim, dim))
 
@@ -210,15 +228,26 @@ def build_dense_hamiltonian(p: ModelParams) -> np.ndarray:
 def sector_dense_block(p: ModelParams, sector: SectorBasis) -> np.ndarray:
     """Dense block of H restricted to one magnetization sector.
 
-    Assembled from the factorized operator: the flip-flop bonds, the diagonal,
-    and the infinite-range term as lr * S+_tot S-_tot = lr * lower^T lower
-    (its -lr * n_up part sits in the diagonal).
+    Assembled from the terms of ``SectorOperator``: the flip-flop bonds, the
+    diagonal, and the infinite-range term as lr * S+_tot S-_tot (its -lr * n_up
+    part sits in the diagonal).  S+_tot S-_tot is n_up on the diagonal and 1
+    between two states that lower to a common state below: two distinct states
+    share at most one, and every state below is reached from N - n_up + 1
+    states here.
     """
-    op = sector_operator(p, sector)
-    h = op.hop.toarray()
-    h[np.diag_indices_from(h)] += op.diag
-    if op.lower is not None:
-        h += op.lr * (op.lower_t @ op.lower).toarray()
+    _, flip, lr = amplitudes(p)
+    diag, bonds = _sector_bonds(p, sector)
+    h = np.zeros((sector.size, sector.size))
+    for rows, cols in bonds:
+        h[rows, cols] += flip
+    h[np.diag_indices_from(h)] += diag
+    if lr != 0.0 and sector.n_up > 0:
+        _, col, row, n_below = lowering_map(sector)
+        above = col[np.argsort(row)].reshape(n_below, -1)
+        first, second = np.broadcast_arrays(above[:, :, None], above[:, None, :])
+        distinct = first != second
+        h[first[distinct], second[distinct]] += lr
+        h[np.diag_indices_from(h)] += lr * sector.n_up
     return h
 
 

@@ -17,8 +17,8 @@ from cavityxxz.cavity import (
     simulate_effective,
     simulate_full,
     _initial_spin_state,
-    _liouvillian,
-    _reachable,
+    _liouvillian_block,
+    _liouvillian_terms,
 )
 from cavityxxz.errors import GridMismatch, InvalidParams, SizeExceeded, TraceDrift
 
@@ -127,8 +127,7 @@ def test_liouvillian_matches_matrix_form(case):
     for rate, op in jumps:
         decay = op.conj().T @ op
         ref += rate * (op @ rho @ op.conj().T - 0.5 * (decay @ rho + rho @ decay))
-    lv = _liouvillian(h, jumps)
-    assert sparse.issparse(lv)
+    lv = _liouvillian_block(_liouvillian_terms(h, jumps), np.ones((d, d), dtype=bool))
     assert np.abs((lv @ rho.ravel()).reshape(d, d) - ref).max() < 1e-12
 
 
@@ -280,10 +279,35 @@ def test_photon_cutoff_adequacy():
     assert np.abs(small.sigma_z - large.sigma_z).max() < 1e-6
 
 
+def _sparse_liouvillian(hamiltonian, jumps):
+    """L on the row-major flattened rho, where A rho B is kron(A, B^T) vec(rho)."""
+    eye = sparse.identity(hamiltonian.shape[0], format="csr")
+    h = sparse.csr_matrix(hamiltonian)
+    lv = -1j * (sparse.kron(h, eye) - sparse.kron(eye, h.T))
+    for rate, op in jumps:
+        op = sparse.csr_matrix(op)
+        decay = op.conj().T @ op
+        lv = lv + rate * (sparse.kron(op, op.conj())
+                          - 0.5 * sparse.kron(decay, eye) - 0.5 * sparse.kron(eye, decay.T))
+    return lv.tocsr()
+
+
+def _reachable_entries(lv, r0):
+    """Entries of vec(rho) that the sparsity pattern of L reaches from r0's nonzeros."""
+    pattern = sparse.csr_matrix((np.ones(lv.nnz), lv.indices, lv.indptr), shape=lv.shape)
+    mask = r0 != 0
+    while True:
+        grown = mask | (pattern @ mask.astype(float) > 0)
+        if np.array_equal(grown, mask):
+            return mask
+        mask = grown
+
+
 def _staged_rk4(rho0, hamiltonian, jumps, t_end, dt, sigma_z_ops, photon_op):
-    """Reference: the staged k1..k4 RK4 loop on the whole flattened rho, sampled
-    like ``_evolve`` (every ``stride`` steps and after the last)."""
-    lv = _liouvillian(hamiltonian, jumps)
+    """Reference: the staged k1..k4 RK4 loop with a sparse L on the whole
+    flattened rho, sampled like ``_evolve`` (every ``stride`` steps and after
+    the last)."""
+    lv = _sparse_liouvillian(hamiltonian, jumps)
     n_steps = max(1, int(round(t_end / dt)))
     stride = -(-n_steps // (MAX_SAMPLES - 1))
     r = rho0.ravel()
@@ -302,7 +326,7 @@ def _staged_rk4(rho0, hamiltonian, jumps, t_end, dt, sigma_z_ops, photon_op):
     return {"times": np.array(steps) * dt, "sigma_z": values[:, :len(sigma_z_ops)].real,
             "photon": values[:, -1].real if photon_op is not None else None,
             "final_rho": r.reshape(rho0.shape), "tail": n_steps % stride,
-            "reachable": _reachable(lv, rho0.ravel()).reshape(rho0.shape)}
+            "reachable": _reachable_entries(lv, rho0.ravel()).reshape(rho0.shape)}
 
 
 @pytest.mark.parametrize("case, entries", [
@@ -310,6 +334,7 @@ def _staged_rk4(rho0, hamiltonian, jumps, t_end, dt, sigma_z_ops, photon_op):
     ("criterion9_effective", 5),
     ("closed_full", 9),             # kappa = 0: no jump, no decay to k = 0
     ("size_limit_full", 147),       # 4 sites, n_max = 8, Neel
+    ("size_limit_full_up", 628),    # the same from all spins up
 ])
 def test_step_matrix_rk4_matches_staged_rk4(monkeypatch, case, entries):
     calls = []
@@ -324,10 +349,11 @@ def test_step_matrix_rk4_matches_staged_rk4(monkeypatch, case, entries):
     cp = CavityParams(g=0.25, delta_c=100.0, kappa=kappa, j_xx=1.0, j_z=1.0, n_sites=2)
     if case == "criterion9_effective":
         traj = simulate_effective(cp, t_end=1.7, dt=8e-4)
-    elif case == "size_limit_full":
+    elif case.startswith("size_limit_full"):
         cp = CavityParams(g=0.3, delta_c=5.0, kappa=1.0, j_xx=1.2, j_z=1.0,
                           n_sites=FULL_SITE_LIMIT)
-        traj = simulate_full(cp, n_max=FULL_PHOTON_LIMIT, t_end=5e-2, dt=1e-3)
+        traj = simulate_full(cp, n_max=FULL_PHOTON_LIMIT, t_end=5e-2, dt=1e-3,
+                             initial="up" if case.endswith("up") else "neel")
     else:
         traj = simulate_full(cp, n_max=4, t_end=1.7, dt=8e-4)
     ref = _staged_rk4(*calls[0])

@@ -308,6 +308,22 @@ def test_cli_fit_c_rejects_malformed_rows(tmp_path, capsys):
         assert f"line {lineno}:" in capsys.readouterr().err
 
 
+def test_cli_reports_input_that_is_not_utf8(tmp_path, capsys):
+    utf16 = "[ed]\nalpha = 1.0\n".encode("utf-16")  # starts with the bytes ff fe
+    assert utf16[:2] == b"\xff\xfe"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(utf16)
+    assert main(["ed", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: not UTF-8 text\n"
+
+
+def test_cli_fit_c_reports_input_that_is_not_utf8(tmp_path, capsys):
+    csv = tmp_path / "entropy.csv"
+    csv.write_bytes("L,S\n16,0.6\n24,0.7\n32,0.8\n".encode("utf-16"))
+    assert main(["fit-c", str(csv)]) == 1
+    assert capsys.readouterr().err == f"error: {csv}: not UTF-8 text\n"
+
+
 def test_cli_cavity_compare_rejects_different_site_counts(tmp_path, capsys):
     two = tmp_path / "two.csv"
     three = tmp_path / "three.csv"
