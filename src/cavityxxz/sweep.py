@@ -73,6 +73,7 @@ def run_point(alpha: float, j: float, sizes, settings: dict, base_seed: int,
                 converged=report.converged,
                 max_truncation_error=report.max_truncation_error,
                 n_sweeps=report.n_sweeps,
+                local_matvecs=sum(report.matvecs_per_sweep),
                 status=report.status,
             )
             if report.status == "ok":

@@ -2,9 +2,14 @@
 
 Sweeps optimize a two-site tensor at every bond with an iterative extremal
 eigensolver warm-started from the current state, then split it by SVD with a
-discarded-weight cut.  The bond dimension doubles per sweep up to ``chi_max``;
-convergence is declared when the energy change between two consecutive full
-sweeps, both run at ``chi_max``, drops below ``energy_tol``.
+discarded-weight cut.  The local solve at a bond runs to the residual
+tolerance ``max(_LOCAL_TOL, _TOL_PER_SQRT_WEIGHT * sqrt(w))``, where w is the
+weight the last split of that bond discarded at the bond-dimension cap: the
+split removes a component of norm sqrt(w) from the solved tensor, so resolving
+it much more finely buys nothing.  Exact bonds (w = 0) keep _LOCAL_TOL, which
+resolves the pin's splitting.  The bond dimension doubles per sweep up to
+``chi_max``; convergence is declared when the energy change between two
+consecutive full sweeps, both run at ``chi_max``, drops below ``energy_tol``.
 
 The chain is swept with a PIN_STRENGTH sz field on site 0, which breaks exact
 spin-flip ties the way the ED oracle resolves them, and the reported energy
@@ -27,6 +32,8 @@ PIN_STRENGTH = 1e-8
 _DENSE_LOCAL_DIM = 400
 _LOCAL_MAX_ITER = 40
 _LOCAL_TOL = 1e-11
+# Local residual tolerance per unit sqrt(discarded weight) of the bond.
+_TOL_PER_SQRT_WEIGHT = 1e-2
 
 
 def chi_schedule(chi_max: int) -> tuple:
@@ -70,6 +77,8 @@ class DmrgReport:
 
     status is 'truncation_exceeded' when the last sweep discarded more weight
     than ``truncation_cut``, else 'ok' or 'not_converged'.
+    ``matvecs_per_sweep`` counts the Lanczos matvecs of each sweep's local
+    solves (dense solves count none).
     """
 
     energy: float
@@ -80,6 +89,7 @@ class DmrgReport:
     entropy_profile: list[float] = field(repr=False)
     n_sweeps: int = 0
     seed: int = 0
+    matvecs_per_sweep: list[int] = field(default_factory=list)
 
 
 def _mpo_matrix(w):
@@ -105,14 +115,14 @@ def _local_matvec(lenv, w1, w2, renv, theta):
     return t.reshape(a, w1.shape[1], w2.shape[1], d)
 
 
-def _lanczos_warm(apply_h, v0):
-    """Lowest eigenpair by Lanczos warm-started from v0; never raises.
+def _lanczos_warm(apply_h, v0, tol):
+    """Lanczos warm-started from v0; returns (energy, vec, matvecs, residual).
 
-    Capped at _LOCAL_MAX_ITER matvecs at tolerance _LOCAL_TOL: an unconverged
-    local solve still lowers the Rayleigh quotient, and the outer sweeps
-    polish the rest.
+    Capped at _LOCAL_MAX_ITER matvecs at residual tolerance ``tol``; never
+    raises: an unconverged local solve still lowers the Rayleigh quotient, and
+    the outer sweeps polish the rest.
     """
-    return lowest_eigenpair(apply_h, v0, _LOCAL_TOL, _LOCAL_MAX_ITER)[:2]
+    return lowest_eigenpair(apply_h, v0, tol, _LOCAL_MAX_ITER)
 
 
 def _dense_heff(lenv, w1, w2, renv):
@@ -122,18 +132,20 @@ def _dense_heff(lenv, w1, w2, renv):
     return heff.reshape(dim, dim)
 
 
-def _solve_local(lenv, w1, w2, renv, theta0):
-    """Lowest eigenpair of the two-site effective Hamiltonian."""
+def _solve_local(lenv, w1, w2, renv, theta0, tol):
+    """Lowest eigenpair of the two-site effective Hamiltonian; returns
+    (energy, theta, matvecs).  Small problems are solved dense (0 matvecs),
+    the rest by Lanczos to residual tolerance ``tol``."""
     shape = theta0.shape
     if theta0.size <= _DENSE_LOCAL_DIM:
         evals, evecs = np.linalg.eigh(_dense_heff(lenv, w1, w2, renv))
-        return float(evals[0]), evecs[:, 0].reshape(shape)
+        return float(evals[0]), evecs[:, 0].reshape(shape), 0
 
     def apply_h(x):
         return _local_matvec(lenv, w1, w2, renv, x.reshape(shape)).ravel()
 
-    theta, vec = _lanczos_warm(apply_h, theta0.ravel())
-    return theta, vec.reshape(shape)
+    energy, vec, matvecs, _ = _lanczos_warm(apply_h, theta0.ravel(), tol)
+    return energy, vec.reshape(shape), matvecs
 
 
 # Normalized Schmidt weights below this are numerical noise and always dropped.
@@ -169,6 +181,11 @@ def dmrg_ground_state(p: ModelParams, config: DmrgConfig = DmrgConfig()):
     The report's energy is that of the unpinned H; ``energies_per_sweep``
     are those of the swept, pinned one.  A run that hits ``max_sweeps`` first
     is flagged in the report, not raised.
+
+    Bond i is solved to ``max(_LOCAL_TOL, _TOL_PER_SQRT_WEIGHT * sqrt(w_i))``,
+    with w_i the weight discarded when bond i was last split in this run: 0
+    before its first split, and 0 when that split kept fewer than chi states,
+    since it then dropped only noise-floor weights.
     """
     mpo = build_mpo(p, pin_strength=PIN_STRENGTH)
     schedule = chi_schedule(config.chi_max)
@@ -185,16 +202,22 @@ def dmrg_ground_state(p: ModelParams, config: DmrgConfig = DmrgConfig()):
     bonds = [(i, True) for i in range(n - 1)] + [(i, False) for i in range(n - 2, -1, -1)]
 
     energies: list[float] = []
+    matvecs_per_sweep: list[int] = []
+    discarded = [0.0] * (n - 1)  # per bond, at its last split
     converged = False
     max_disc_last_sweep = 0.0
     for sweep in range(config.max_sweeps):
         chi = schedule[min(sweep, len(schedule) - 1)]
         max_disc = 0.0
+        matvecs = 0
         for i, rightward in bonds:
             theta0 = np.tensordot(mps.tensors[i], mps.tensors[i + 1], ([2], [0]))
-            _, theta = _solve_local(lefts[i], mpo.tensors[i], mpo.tensors[i + 1],
-                                    rights[i + 2], theta0)
+            tol = max(_LOCAL_TOL, _TOL_PER_SQRT_WEIGHT * np.sqrt(discarded[i]))
+            _, theta, used = _solve_local(lefts[i], mpo.tensors[i], mpo.tensors[i + 1],
+                                          rights[i + 2], theta0, tol)
+            matvecs += used
             u, s, vh, disc = _split(theta, chi)
+            discarded[i] = disc if len(s) == chi else 0.0
             max_disc = max(max_disc, disc)
             if rightward:
                 mps.tensors[i] = u
@@ -208,6 +231,7 @@ def dmrg_ground_state(p: ModelParams, config: DmrgConfig = DmrgConfig()):
                 rights[i + 1] = _advance_right(rights[i + 2], vh, mpo.tensors[i + 1])
 
         energies.append(expectation(mps, mpo))
+        matvecs_per_sweep.append(matvecs)
         max_disc_last_sweep = max_disc
         # both compared sweeps must have run at chi_max
         if sweep >= len(schedule) and abs(energies[-1] - energies[-2]) < config.energy_tol:
@@ -227,6 +251,7 @@ def dmrg_ground_state(p: ModelParams, config: DmrgConfig = DmrgConfig()):
         entropy_profile=entropy_profile(mps),
         n_sweeps=len(energies),
         seed=config.seed,
+        matvecs_per_sweep=matvecs_per_sweep,
     )
     return mps, report
 

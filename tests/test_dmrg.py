@@ -12,7 +12,8 @@ from cavityxxz.tensornet import (
     mps_observables,
     random_mps,
 )
-from cavityxxz.tensornet.dmrg import _dense_heff, _local_matvec
+from cavityxxz.tensornet import dmrg
+from cavityxxz.tensornet.dmrg import _LOCAL_TOL, _dense_heff, _local_matvec
 
 SMALL = DmrgConfig(chi_max=64, max_sweeps=25)
 
@@ -170,3 +171,104 @@ def test_large_chain_converges_within_twenty_sweeps():
     e = report.energies_per_sweep
     assert all(b <= a + 1e-10 for a, b in zip(e, e[1:]))
     assert report.max_truncation_error < 1e-6
+
+
+def _traced_run(monkeypatch, p, config):
+    """Run DMRG logging each local Lanczos tolerance, each split's discarded
+    weight and each sweep's end (the per-sweep energy evaluation)."""
+    log = []
+    solve, split, energy = dmrg.lowest_eigenpair, dmrg._split, dmrg.expectation
+
+    def logged_solve(matvec, v0, tol, max_iter):
+        log.append(("tol", tol))
+        return solve(matvec, v0, tol, max_iter)
+
+    def logged_split(theta, chi_max):
+        out = split(theta, chi_max)
+        log.append(("disc", out[3]))
+        return out
+
+    def logged_energy(mps, mpo):
+        log.append(("sweep", None))
+        return energy(mps, mpo)
+
+    monkeypatch.setattr(dmrg, "lowest_eigenpair", logged_solve)
+    monkeypatch.setattr(dmrg, "_split", logged_split)
+    monkeypatch.setattr(dmrg, "expectation", logged_energy)
+    _, report = dmrg_ground_state(p, config)
+    sweeps, current = [], []
+    for kind, value in log:
+        if kind == "sweep":
+            sweeps.append(current)
+            current = []
+        else:
+            current.append((kind, value))
+    return report, sweeps[: report.n_sweeps]
+
+
+@pytest.mark.parametrize("alpha, j, min_calls", [
+    (1.0, 0.0, 0),  # the pinned SU(2) ground state is a product: dense solves only
+    (1.5, 0.5, 1),
+])
+def test_exact_bonds_solve_to_the_tight_tolerance(monkeypatch, alpha, j, min_calls):
+    # N = 10 fits under chi_max, so once the ramp passes 32 no bond is cut
+    _, sweeps = _traced_run(monkeypatch, ModelParams(alpha, j, 10), DmrgConfig())
+    tols = [v for sweep in sweeps[-2:] for k, v in sweep if k == "tol"]
+    assert len(tols) >= min_calls
+    assert all(t == _LOCAL_TOL for t in tols)
+
+
+def _tied_and_flat(p, config):
+    """Traced runs with the weight-tied tolerance and with it forced to _LOCAL_TOL."""
+    with pytest.MonkeyPatch.context() as mp:
+        tied = _traced_run(mp, p, config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dmrg, "_TOL_PER_SQRT_WEIGHT", 0.0)
+        flat = _traced_run(mp, p, config)
+    return tied, flat
+
+
+@pytest.fixture(scope="module")
+def chi32_runs():
+    return _tied_and_flat(ModelParams(1.5, 0.5, 24), DmrgConfig(chi_max=32))
+
+
+def test_truncated_bonds_loosen_within_the_discarded_weight(chi32_runs):
+    (_, sweeps), (_, flat_sweeps) = chi32_runs
+    tols = [v for sweep in sweeps for k, v in sweep if k == "tol"]
+    worst = max(v for sweep in sweeps for k, v in sweep if k == "disc")
+    assert any(t > _LOCAL_TOL for t in tols)
+    assert max(tols) <= 1e-2 * np.sqrt(worst)
+    assert all(v == _LOCAL_TOL for sweep in flat_sweeps for k, v in sweep if k == "tol")
+
+
+def test_weight_tied_tolerance_never_raises_the_energy(chi32_runs):
+    # at chi 32 the flat run stops 1.4e-9 above the energy its own sweeps
+    # converge to, and the tied run ends 1.1e-9 below the flat one
+    (tied, _), (flat, _) = chi32_runs
+    assert tied.energy <= flat.energy
+    assert tied.n_sweeps == flat.n_sweeps
+    assert tied.status == flat.status == "ok"
+
+
+def test_weight_tied_tolerance_keeps_energy_and_sweeps():
+    (tied, _), (flat, _) = _tied_and_flat(ModelParams(1.5, 0.5, 24), DmrgConfig(chi_max=64))
+    assert abs(tied.energy - flat.energy) <= 1e-9
+    assert abs(tied.entropy_profile[11] - flat.entropy_profile[11]) <= 1e-6
+    assert tied.n_sweeps == flat.n_sweeps
+    assert tied.status == flat.status == "ok"
+    assert sum(tied.matvecs_per_sweep) < sum(flat.matvecs_per_sweep)
+
+
+def test_matvecs_per_sweep_counts_local_matvecs(monkeypatch):
+    calls = []
+    matvec = dmrg._local_matvec
+
+    def counted(*args):
+        calls.append(None)
+        return matvec(*args)
+
+    monkeypatch.setattr(dmrg, "_local_matvec", counted)
+    _, (_, report) = run(1.5, 0.5, 12)
+    assert len(report.matvecs_per_sweep) == report.n_sweeps
+    assert sum(report.matvecs_per_sweep) == len(calls) > 0

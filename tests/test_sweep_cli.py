@@ -49,9 +49,9 @@ def test_run_point_fm_record():
         assert abs(entry["energy"] - (-(entry["n"] - 1) / 4.0)) < 1e-7
         assert entry["s_half"] <= 1e-6
         assert entry["sigma_z_mean"] > 0.99
+        assert isinstance(entry["local_matvecs"], int) and entry["local_matvecs"] >= 0
 
 
-@pytest.mark.slow
 def test_run_point_labels_critical_and_broken_phases():
     settings = dict(FAST, chi_max=64)
     tll = run_point(1.5, 0.0, (16, 24, 32), settings, base_seed=0)
