@@ -59,6 +59,8 @@ def fit_central_charge(points, bootstrap: int = BOOTSTRAP_SAMPLES,
     points = tuple(points)
     if len(points) < MIN_FIT_POINTS:
         raise InsufficientPoints(f"need at least {MIN_FIT_POINTS} points, got {len(points)}")
+    if bootstrap < 1:
+        raise InvalidParams(f"bootstrap must be >= 1, got {bootstrap}")
     ls = np.array([p[0] for p in points], dtype=float)
     ss = np.array([p[1] for p in points], dtype=float)
     c, offset, residual = _lstsq_c(ls, ss)

@@ -217,6 +217,8 @@ def _evolve(rho0, hamiltonian, jumps, t_end, dt, sigma_z_ops, photon_op, meta) -
     vec(O^T) . vec(rho).  If the trace drifts beyond tolerance the step is
     halved once and the run repeated; a second failure raises TraceDrift.
     """
+    if not (dt > 0.0 and t_end > 0.0):
+        raise InvalidParams(f"dt and t_end must be > 0, got dt={dt}, t_end={t_end}")
     d = rho0.shape[0]
     terms = _liouvillian_terms(hamiltonian, jumps)
     reached = _reachable(terms, rho0)

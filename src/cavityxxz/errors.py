@@ -29,11 +29,11 @@ class NoConvergence(CavityXXZError):
         super().__init__(msg)
 
 
-class InvalidCut(CavityXXZError):
+class InvalidCut(InvalidParams):
     """Entanglement cut index outside 1..N-1."""
 
 
-class InvalidBond(CavityXXZError):
+class InvalidBond(InvalidParams):
     """MPS bond index outside 1..N-1."""
 
 

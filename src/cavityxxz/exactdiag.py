@@ -70,17 +70,17 @@ class GroundStateReport:
     observables: Correlators
 
 
-def lanczos_ground(matvec, dim: int, seed: int = 0, tol: float = LANCZOS_TOL,
-                   max_iter: int = LANCZOS_MAX_ITER):
+def lanczos_ground(matvec, dim: int, seed: int = 0):
     """Lowest eigenpair by Lanczos from a seeded random start.
 
     The seed makes the start vector, and so the result, deterministic.
-    Raises NoConvergence if the residual is still above tolerance when the
-    budget of ``max_iter`` matvecs runs out.
+    Raises NoConvergence if the residual is still above LANCZOS_TOL when the
+    budget of LANCZOS_MAX_ITER matvecs runs out.
     """
     v0 = np.random.default_rng(seed).standard_normal(dim)
-    energy, vec, iterations, residual = lowest_eigenpair(matvec, v0, tol, max_iter)
-    if not converged(residual, energy, tol):
+    energy, vec, iterations, residual = lowest_eigenpair(matvec, v0, LANCZOS_TOL,
+                                                         LANCZOS_MAX_ITER)
+    if not converged(residual, energy, LANCZOS_TOL):
         raise NoConvergence(iterations, residual)
     return energy, vec
 

@@ -21,14 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParams, SizeExceeded
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 OPEN = "open"
 PERIODIC = "periodic"
@@ -125,73 +121,25 @@ def _bonds(p: ModelParams) -> list[tuple[int, int]]:
     return bonds
 
 
-@dataclass(frozen=True, eq=False)
-class SectorOperator:
-    """H restricted to one magnetization sector, in factorized form.
-
-    The all-to-all term is a collective-spin operator: with sigma+- the
-    single-site raising and lowering operators, sum_{i<j} (sx_i sx_j + sy_i sy_j)
-    = 2 sum_{i<j} (sigma+_i sigma-_j + h.c.) = 2 (S+_tot S-_tot - n_up), where
-    S+-_tot = sum_i sigma+-_i.  So the sector block is
-
-        diag + hop + lr * lower^T lower,      lr = collective amplitude,
-
-    with ``diag`` the ZZ diagonal minus lr * n_up, ``hop`` the nearest-neighbor
-    flip-flop bonds (the flip amplitude each), ``lower`` the map S-_tot into
-    the sector with one fewer up spin (``None`` when n_up = 0 or J = 0) and
-    ``lower_t`` its transpose, S+_tot back.  The rows of ``lower`` index the
-    lower sector's states in ascending order; only lower^T lower is used, so
-    that order is free.
-    """
-
-    diag: np.ndarray
-    hop: sparse.csr_matrix
-    lr: float
-    lower: sparse.csr_matrix | None
-    lower_t: sparse.csr_matrix | None
-
-
 def _sector_bonds(p: ModelParams, sector: SectorBasis):
-    """(diag, bonds) of H in one sector: the ZZ diagonal minus lr * n_up, and
-    per bond the (rows, cols) of its flip-flops, each of amplitude ``flip``.
-    A periodic 2-site chain lists its one bond twice, so the two add up."""
+    """(diag, rows, cols) of H's bond terms in one sector: the ZZ diagonal minus
+    lr * n_up, and the (row, col) of every nearest-neighbor flip-flop, each of
+    amplitude ``flip``.  A periodic 2-site chain lists its one bond twice, so
+    the two add up."""
     states = sector.states
     zz, _, lr = amplitudes(p)
 
     # sz_i sz_j = -1 on an anti-aligned bond, and only there does the flip-flop act
     diag = np.zeros(sector.size)
-    bonds = []
+    rows, cols = [], []
     for i, j in _bonds(p):
         anti = ((states >> i) ^ (states >> j)) & 1
         diag += zz * (1 - 2 * anti)
         col = np.flatnonzero(anti)
-        bonds.append((_rank(states, states[col] ^ ((1 << i) | (1 << j))), col))
+        rows.append(_rank(states, states[col] ^ ((1 << i) | (1 << j))))
+        cols.append(col)
     diag -= lr * sector.n_up
-    return diag, bonds
-
-
-def sector_operator(p: ModelParams, sector: SectorBasis) -> SectorOperator:
-    """Build the factorized sector operator once; see ``SectorOperator``."""
-    # CSR only for the matvec, imported on first use so that the rest of the
-    # package loads no scipy: at N = 16, dim 12870, one matvec took 387 us in
-    # CSR against 1230 us with np.bincount and 1400 us with np.add.at.
-    from scipy import sparse
-
-    dim = sector.size
-    _, flip, lr = amplitudes(p)
-    diag, bonds = _sector_bonds(p, sector)
-    rows = np.concatenate([r for r, _ in bonds])
-    cols = np.concatenate([c for _, c in bonds])
-    hop = sparse.csr_matrix((np.full(rows.shape[0], flip), (rows, cols)),
-                            shape=(dim, dim))
-
-    lower = lower_t = None
-    if lr != 0.0 and sector.n_up > 0:
-        _, col, row, n_below = lowering_map(sector)
-        lower = sparse.csr_matrix((np.ones(row.shape[0]), (row, col)),
-                                  shape=(n_below, dim))
-        lower_t = lower.T.tocsr()
-    return SectorOperator(diag, hop, lr, lower, lower_t)
+    return diag, np.concatenate(rows), np.concatenate(cols)
 
 
 def lowering_map(sector: SectorBasis):
@@ -228,7 +176,7 @@ def build_dense_hamiltonian(p: ModelParams) -> np.ndarray:
 def sector_dense_block(p: ModelParams, sector: SectorBasis) -> np.ndarray:
     """Dense block of H restricted to one magnetization sector.
 
-    Assembled from the terms of ``SectorOperator``: the flip-flop bonds, the
+    Assembled from the terms of ``make_sector_matvec``: the flip-flop bonds, the
     diagonal, and the infinite-range term as lr * S+_tot S-_tot (its -lr * n_up
     part sits in the diagonal).  S+_tot S-_tot is n_up on the diagonal and 1
     between two states that lower to a common state below: two distinct states
@@ -236,10 +184,9 @@ def sector_dense_block(p: ModelParams, sector: SectorBasis) -> np.ndarray:
     states here.
     """
     _, flip, lr = amplitudes(p)
-    diag, bonds = _sector_bonds(p, sector)
+    diag, rows, cols = _sector_bonds(p, sector)
     h = np.zeros((sector.size, sector.size))
-    for rows, cols in bonds:
-        h[rows, cols] += flip
+    np.add.at(h, (rows, cols), flip)
     h[np.diag_indices_from(h)] += diag
     if lr != 0.0 and sector.n_up > 0:
         _, col, row, n_below = lowering_map(sector)
@@ -264,20 +211,43 @@ def apply_hamiltonian(p: ModelParams, sector: SectorBasis, v: np.ndarray) -> np.
 def make_sector_matvec(p: ModelParams, sector: SectorBasis):
     """Closure applying the sector block of H; use for repeated matvecs (Lanczos).
 
-    Builds the factorized operator once.  Each call costs one sparse product
-    with the flip-flop bonds plus the infinite-range term applied as
-    lr * S+_tot (S-_tot v), two single-flip maps through the sector below,
-    in place of N(N-1)/2 pair flips.
-    """
-    op = sector_operator(p, sector)
-    diag, hop, lr, lower, lower_t = op.diag, op.hop, op.lr, op.lower, op.lower_t
+    The all-to-all term is a collective-spin operator: with sigma+- the
+    single-site raising and lowering operators, sum_{i<j} (sx_i sx_j + sy_i sy_j)
+    = 2 sum_{i<j} (sigma+_i sigma-_j + h.c.) = 2 (S+_tot S-_tot - n_up), where
+    S+-_tot = sum_i sigma+-_i.  So the sector block is
 
-    if lower is None:
+        diag + hop + lr * lower^T lower,      lr = collective amplitude,
+
+    with ``diag`` the ZZ diagonal minus lr * n_up, ``hop`` the nearest-neighbor
+    flip-flop bonds (the flip amplitude each), ``lower`` the map S-_tot into
+    the sector with one fewer up spin (built only when n_up > 0 and J != 0)
+    and ``lower_t`` its transpose, S+_tot back.  The rows of ``lower`` index
+    the lower sector's states in ascending order; only lower^T lower is used,
+    so that order is free.  Each call costs one sparse product with ``hop``
+    and two single-flip maps through the sector below, in place of
+    N(N-1)/2 pair flips.
+    """
+    # CSR only for the matvec, imported on first use so that the rest of the
+    # package loads no scipy: at N = 16, dim 12870, one matvec took 387 us in
+    # CSR against 1230 us with np.bincount and 1400 us with np.add.at.
+    from scipy import sparse
+
+    dim = sector.size
+    _, flip, lr = amplitudes(p)
+    diag, rows, cols = _sector_bonds(p, sector)
+    hop = sparse.csr_matrix((np.full(rows.shape[0], flip), (rows, cols)), shape=(dim, dim))
+
+    if lr == 0.0 or sector.n_up == 0:
         def matvec(v: np.ndarray) -> np.ndarray:
             return diag * v + hop @ v
-    else:
-        def matvec(v: np.ndarray) -> np.ndarray:
-            return diag * v + hop @ v + lr * (lower_t @ (lower @ v))
+        return matvec
+
+    _, col, row, n_below = lowering_map(sector)
+    lower = sparse.csr_matrix((np.ones(row.shape[0]), (row, col)), shape=(n_below, dim))
+    lower_t = lower.T.tocsr()
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        return diag * v + hop @ v + lr * (lower_t @ (lower @ v))
 
     return matvec
 

@@ -54,6 +54,13 @@ def test_fit_requires_three_points():
         fit_central_charge([(16, 0.5), (32, 0.6)])
 
 
+@pytest.mark.parametrize("bootstrap", [0, -3])
+def test_fit_requires_a_bootstrap_sample(bootstrap):
+    points = [(l, np.log(l) / 6.0) for l in LS]
+    with pytest.raises(InvalidParams, match="bootstrap must be >= 1"):
+        fit_central_charge(points, bootstrap=bootstrap)
+
+
 def test_bulk_window():
     assert bulk_window(16) == (4, 12)
     assert bulk_window(10) == (2, 8)

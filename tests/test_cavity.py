@@ -271,6 +271,15 @@ def test_trace_drift_raises_on_unstable_step():
         simulate_full(cp, n_max=3, t_end=10.0, dt=0.5)
 
 
+@pytest.mark.parametrize("t_end, dt", [(1.0, 0.0), (1.0, -0.01), (-1.0, 0.001), (0.0, 0.001)])
+def test_time_grid_must_be_positive(t_end, dt):
+    cp = CavityParams(g=0.25, delta_c=100.0, kappa=5.0, j_xx=1.0, j_z=1.0, n_sites=2)
+    with pytest.raises(InvalidParams, match="dt and t_end must be > 0"):
+        simulate_full(cp, n_max=3, t_end=t_end, dt=dt)
+    with pytest.raises(InvalidParams, match="dt and t_end must be > 0"):
+        simulate_effective(cp, t_end=t_end, dt=dt)
+
+
 def test_photon_cutoff_adequacy():
     cp = CavityParams(g=0.5, delta_c=100.0, kappa=5.0, j_xx=1.0, j_z=1.0, n_sites=2)
     small = simulate_full(cp, n_max=3, t_end=2.0, dt=5e-4)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import SM, SP, kron_hamiltonian, site_op
 
-from cavityxxz.errors import InvalidCut
+from cavityxxz.errors import InvalidCut, InvalidParams
 from cavityxxz.exactdiag import (
     correlators,
     cut_entanglement_entropy,
@@ -135,6 +135,7 @@ def test_entropy_bounds_and_cut_validation():
         cut_entanglement_entropy(state, 0)
     with pytest.raises(InvalidCut):
         cut_entanglement_entropy(state, 8)
+    assert issubclass(InvalidCut, InvalidParams)  # a bad cut is a bad parameter
 
 
 def test_entropy_schmidt_equals_density_matrix_route():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cavityxxz import exactdiag
 from cavityxxz.errors import NoConvergence
 from cavityxxz.exactdiag import lanczos_ground
 from cavityxxz.krylov import lowest_eigenpair
@@ -61,10 +62,11 @@ def test_exhausted_budget_returns_unconverged():
     assert abs(vec @ h @ vec - energy) < 1e-10
 
 
-def test_lanczos_ground_raises_when_budget_runs_out():
+def test_lanczos_ground_raises_when_budget_runs_out(monkeypatch):
+    monkeypatch.setattr(exactdiag, "LANCZOS_MAX_ITER", 3)
     p = ModelParams(1.5, 0.5, 10)
     basis = sector_basis(10, 5)
     with pytest.raises(NoConvergence) as info:
-        lanczos_ground(make_sector_matvec(p, basis), basis.size, max_iter=3)
+        lanczos_ground(make_sector_matvec(p, basis), basis.size)
     assert info.value.iterations == 3
     assert info.value.residual > 1e-10

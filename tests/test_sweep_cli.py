@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from cavityxxz import sweep
+from cavityxxz.analysis import bulk_window
 from cavityxxz.cli import main
 from cavityxxz.config import parse_config
 from cavityxxz.errors import InvalidParams
+from cavityxxz.exactdiag import global_ground_state
+from cavityxxz.model import ModelParams
 from cavityxxz.records import load_json, write_json
 from cavityxxz.sweep import SweepGrid, point_seed, run_point, run_sweep
 from cavityxxz.tensornet.dmrg import chi_schedule
@@ -79,6 +82,16 @@ def test_run_point_enforces_truncation_cut():
     assert [e["status"] for e in record["sizes"]] == ["ok"] * 3 + ["truncation_exceeded"]
     assert record["status"] == "partial"
     assert record["c"] is not None
+
+
+@pytest.mark.parametrize("alpha, j", [(1.5, 0.5), (1.5, 0.0), (0.5, 0.5)])
+def test_run_point_xy_plateau_matches_ed(alpha, j):
+    record = run_point(alpha, j, (8, 10, 12), dict(FAST, max_sweeps=30), base_seed=0)
+    for entry in record["sizes"]:
+        n = entry["n"]
+        lo, hi = bulk_window(n)
+        exact = global_ground_state(ModelParams(alpha, j, n)).observables.cpm[lo, hi - 1]
+        assert abs(entry["xy_plateau"] - exact) < 1e-6, (n, entry["xy_plateau"], exact)
 
 
 def test_run_point_captures_errors():
@@ -306,6 +319,39 @@ def test_cli_fit_c_rejects_malformed_rows(tmp_path, capsys):
         csv.write_text("\n".join(["L,S", rows[0], bad] + rows[1:]) + "\n")
         assert main(["fit-c", str(csv)]) == 1
         assert f"line {lineno}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bootstrap", [0, -3])
+def test_cli_fit_c_rejects_a_bootstrap_below_one(tmp_path, capsys, bootstrap):
+    csv = tmp_path / "entropy.csv"
+    csv.write_text("L,S\n16,0.6\n24,0.7\n32,0.8\n")
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text(f"[fit-c]\ninput = {csv}\nbootstrap = {bootstrap}\n")
+    assert main(["fit-c", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: bootstrap must be >= 1")
+
+
+@pytest.mark.parametrize("cut", [0, 9])
+def test_cli_ed_rejects_a_cut_outside_the_chain(tmp_path, capsys, cut):
+    cfg = tmp_path / "ed.cfg"
+    cfg.write_text(f"[ed]\nalpha = 1.5\nj = 0.5\nn = 8\ncut = {cut}\n")
+    assert main(["ed", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: cut must lie in 1..7, got {cut}\n"
+
+
+@pytest.mark.parametrize("model", ["effective", "full"])
+@pytest.mark.parametrize("grid", ["t_end = 1.0\ndt = 0", "t_end = 1.0\ndt = -0.01",
+                                  "t_end = -1\ndt = 0.001"])
+def test_cli_cavity_simulate_rejects_a_time_grid_that_is_not_positive(tmp_path, capsys,
+                                                                     model, grid):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[cavity]\ng = 0.25\ndelta_c = 100\nkappa = 5\nj_xx = 1\nj_z = 1\n"
+                   f"n_sites = 2\nn_max = 3\n{grid}\n")
+    out = tmp_path / "traj"
+    assert main(["cavity", "simulate", "--config", str(cfg), "--model", model,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: dt and t_end must be > 0")
+    assert not out.exists()
 
 
 def test_cli_reports_input_that_is_not_utf8(tmp_path, capsys):

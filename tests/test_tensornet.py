@@ -122,6 +122,7 @@ def test_entropy_invalid_bond():
         mps_entropy(mps, 0)
     with pytest.raises(InvalidBond):
         mps_entropy(mps, 5)
+    assert issubclass(InvalidBond, InvalidParams)  # a bad bond is a bad parameter
 
 
 def test_expectation_against_dense():
