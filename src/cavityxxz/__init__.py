@@ -31,7 +31,6 @@ from .exactdiag import (
 from .model import (
     ModelParams,
     SectorBasis,
-    apply_hamiltonian,
     build_dense_hamiltonian,
     magnetization_sectors,
     sector_basis,

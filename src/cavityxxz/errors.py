@@ -13,10 +13,6 @@ class SizeExceeded(CavityXXZError):
     """Requested system size is beyond the guard for the chosen method."""
 
 
-class DimensionMismatch(CavityXXZError):
-    """Vector or operator dimensions do not match the declared basis."""
-
-
 class NoConvergence(CavityXXZError):
     """Iterative eigensolver stalled above its residual tolerance."""
 

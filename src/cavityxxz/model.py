@@ -24,7 +24,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParams, SizeExceeded
+from .errors import InvalidParams, SizeExceeded
 
 OPEN = "open"
 PERIODIC = "periodic"
@@ -196,16 +196,6 @@ def sector_dense_block(p: ModelParams, sector: SectorBasis) -> np.ndarray:
         h[first[distinct], second[distinct]] += lr
         h[np.diag_indices_from(h)] += lr * sector.n_up
     return h
-
-
-def apply_hamiltonian(p: ModelParams, sector: SectorBasis, v: np.ndarray) -> np.ndarray:
-    """Sector block of H applied to one vector; use make_sector_matvec for many."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (sector.size,):
-        raise DimensionMismatch(
-            f"vector has shape {v.shape}, sector dimension is {sector.size}"
-        )
-    return make_sector_matvec(p, sector)(v)
 
 
 def make_sector_matvec(p: ModelParams, sector: SectorBasis):

@@ -28,10 +28,6 @@ class MatrixProductOperator:
     def n_sites(self) -> int:
         return len(self.tensors)
 
-    @property
-    def bond_dim(self) -> int:
-        return max(t.shape[3] for t in self.tensors[:-1])
-
 
 def build_mpo(p: ModelParams, pin_strength: float = 0.0) -> MatrixProductOperator:
     """MPO of H, optionally with a -pin_strength * sz field on site 0.

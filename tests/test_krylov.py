@@ -3,9 +3,9 @@ import pytest
 
 from cavityxxz import exactdiag
 from cavityxxz.errors import NoConvergence
-from cavityxxz.exactdiag import lanczos_ground
-from cavityxxz.krylov import lowest_eigenpair
-from cavityxxz.model import ModelParams, make_sector_matvec, sector_basis
+from cavityxxz.exactdiag import LANCZOS_MAX_ITER, LANCZOS_TOL, lanczos_ground
+from cavityxxz.krylov import converged, lowest_eigenpair
+from cavityxxz.model import ModelParams, magnetization_sectors, make_sector_matvec, sector_basis
 
 
 def random_symmetric(dim, seed):
@@ -25,6 +25,66 @@ def test_random_symmetric_against_eigh(dim, seed):
     assert np.linalg.norm(h @ vec - energy * vec) < 1e-8
     assert 1 <= iterations <= dim
     assert residual <= 1e-12 * max(1.0, abs(energy))
+
+
+@pytest.mark.parametrize("dim", range(1, 31))
+def test_budget_of_dim_steps_converges(dim):
+    # Eigenvalues k^3: the top of the spectrum converges within a few steps and,
+    # without reorthogonalization, comes back as ghosts, so a budget of exactly
+    # dim steps no longer spans the space; 26 of these 30 then miss tol.
+    q, _ = np.linalg.qr(np.random.default_rng(dim).standard_normal((dim, dim)))
+    h = (q * np.arange(dim) ** 3.0) @ q.T
+    v0 = np.random.default_rng(0).standard_normal(dim)
+    energy, vec, iterations, residual = lowest_eigenpair(lambda v: h @ v, v0, 1e-12, dim)
+    assert converged(residual, energy, 1e-12)
+    assert abs(energy - np.linalg.eigvalsh(h)[0]) < 1e-10
+
+
+def test_long_run_keeps_ritz_vector_accurate():
+    # Clustered low end (relative gap 1e-2) plus isolated top eigenvalues
+    # that converge early: well over 100 steps, with orthogonality lost and
+    # restored on the way.
+    diag = np.concatenate([[0.0], 0.01 + np.linspace(0.0, 1.0, 2996) ** 2, [2.0, 3.0, 5.0]])
+    v0 = np.random.default_rng(0).standard_normal(diag.size)
+    energy, vec, iterations, residual = lowest_eigenpair(lambda v: diag * v, v0, 1e-10, 500)
+    assert iterations >= 100
+    assert abs(energy) < 1e-10
+    assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+    assert np.linalg.norm(diag * vec - energy * vec) <= 1e-8
+
+
+def full_reorthogonalization_lanczos(matvec, v0, tol, max_iter):
+    """Lanczos that orthogonalizes every new vector against the whole basis;
+    returns (energy, iterations)."""
+    n_max = min(max_iter, v0.size)
+    basis = np.empty((n_max, v0.size))
+    tri = np.zeros((n_max, n_max))
+    basis[0] = v0 / np.linalg.norm(v0)
+    for it in range(n_max):
+        w = matvec(basis[it])
+        tri[it, it] = basis[it] @ w
+        w -= basis[: it + 1].T @ (basis[: it + 1] @ w)
+        w -= basis[: it + 1].T @ (basis[: it + 1] @ w)
+        b = np.linalg.norm(w)
+        evals, evecs = np.linalg.eigh(tri[: it + 1, : it + 1])
+        if converged(abs(b * evecs[-1, 0]), evals[0], tol) or b < 1e-13:
+            break
+        if it + 1 < n_max:
+            tri[it + 1, it] = tri[it, it + 1] = b
+            basis[it + 1] = w / b
+    return float(evals[0]), it + 1
+
+
+def test_matches_full_reorthogonalization_on_every_sector():
+    p = ModelParams(1.5, 0.5, 12)
+    for basis in magnetization_sectors(12):
+        matvec = make_sector_matvec(p, basis)
+        v0 = np.random.default_rng(0).standard_normal(basis.size)
+        energy, _, iterations, _ = lowest_eigenpair(matvec, v0, LANCZOS_TOL, LANCZOS_MAX_ITER)
+        ref_energy, ref_iterations = full_reorthogonalization_lanczos(
+            matvec, v0, LANCZOS_TOL, LANCZOS_MAX_ITER)
+        assert iterations == ref_iterations, basis.n_up
+        assert abs(energy - ref_energy) < 1e-12, basis.n_up
 
 
 def test_dimension_one():

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from conftest import kron_hamiltonian
 
-from cavityxxz.errors import DimensionMismatch, InvalidParams, SizeExceeded
+from cavityxxz.errors import InvalidParams, SizeExceeded
 from cavityxxz.model import (
     ModelParams,
-    apply_hamiltonian,
     build_dense_hamiltonian,
     magnetization_sectors,
     make_sector_matvec,
@@ -116,7 +115,7 @@ def test_apply_matches_kron_block():
     basis = sector_basis(8, 4)
     ref = kron_hamiltonian(1.3, 0.7, 8)[np.ix_(basis.states, basis.states)]
     v = np.random.default_rng(7).standard_normal(basis.size)
-    assert np.abs(apply_hamiltonian(p, basis, v) - ref @ v).max() < 1e-12
+    assert np.abs(make_sector_matvec(p, basis)(v) - ref @ v).max() < 1e-12
     assert np.abs(sector_dense_block(p, basis) - ref).max() < 1e-12
 
 
@@ -124,7 +123,7 @@ def test_apply_polarized_eigenvector():
     n = 9
     p = ModelParams(0.8, 0.5, n)
     basis = sector_basis(n, n)
-    out = apply_hamiltonian(p, basis, np.ones(1))
+    out = make_sector_matvec(p, basis)(np.ones(1))
     assert abs(out[0] - (-(n - 1) / 4.0)) < 1e-12
 
 
@@ -138,12 +137,6 @@ def test_apply_stays_in_sector():
     out = full @ vec
     outside = np.setdiff1d(np.arange(1 << n), basis.states)
     assert np.abs(out[outside]).max() == 0.0
-
-
-def test_apply_dimension_mismatch():
-    p = ModelParams(1.0, 0.0, 4)
-    with pytest.raises(DimensionMismatch):
-        apply_hamiltonian(p, sector_basis(4, 2), np.ones(3))
 
 
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
@@ -160,8 +153,8 @@ def test_factorized_operator_every_sector(boundary, j):
         for basis in magnetization_sectors(n):
             ref = full[np.ix_(basis.states, basis.states)]
             v = rng.standard_normal(basis.size)
-            assert np.abs(apply_hamiltonian(p, basis, v) - ref @ v).max() < 1e-12
             matvec = make_sector_matvec(p, basis)
+            assert np.abs(matvec(v) - ref @ v).max() < 1e-12
             columns = np.column_stack([matvec(e) for e in np.eye(basis.size)])
             assert np.abs(columns - ref).max() < 1e-12
             assert np.abs(sector_dense_block(p, basis) - ref).max() < 1e-12
