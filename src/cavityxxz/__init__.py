@@ -43,7 +43,6 @@ from .spinwave import (
     excitation_density,
     fm_dispersion,
     fm_phase_boundary,
-    fm_stability,
     xy_coefficients,
 )
 from .sweep import SweepGrid, run_sweep

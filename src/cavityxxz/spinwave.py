@@ -145,12 +145,6 @@ def fm_spectrum(p: ModelParams) -> SpinWaveSpectrum:
     return _spectrum(p, FM_VACUUM, ks, omega, np.zeros_like(omega), omega)
 
 
-def fm_stability(p: ModelParams) -> tuple[float, bool]:
-    """(min_k omega_k, stable); stable means the polarized vacuum survives."""
-    spec = fm_spectrum(p)
-    return spec.min_energy, spec.stable
-
-
 def fm_phase_boundary(j_lr: float) -> float:
     """Ferromagnetic boundary alpha*(J): 1 for J >= 0, 1 + J/2 for J < 0.
 

@@ -16,7 +16,6 @@ from cavityxxz.spinwave import (
     fm_dispersion,
     fm_phase_boundary,
     fm_spectrum,
-    fm_stability,
     half_range_cosine_sum,
     k_indices,
     xy_coefficients,
@@ -66,11 +65,11 @@ def test_fm_dispersion_reduces_at_zero_j():
     assert np.abs(w - (1.0 - 1.3 * np.cos(2 * np.pi * ks / n))).max() < 1e-14
 
 
-def test_fm_stability_examples():
-    assert fm_stability(periodic(0.9, 1.0, 2048))[1] is True
-    assert fm_stability(periodic(1.1, 1.0, 2048))[1] is False
+def test_fm_spectrum_stable_examples():
+    assert fm_spectrum(periodic(0.9, 1.0, 2048)).stable is True
+    assert fm_spectrum(periodic(1.1, 1.0, 2048)).stable is False
     # J < 0 boundary sits at 1 + J/2 = 0.7, so 0.8 is already unstable
-    assert fm_stability(periodic(0.8, -0.6, 2048))[1] is False
+    assert fm_spectrum(periodic(0.8, -0.6, 2048)).stable is False
 
 
 def test_fm_phase_boundary_branches():
