@@ -53,7 +53,6 @@ from .tensornet import (
     MatrixProductState,
     build_mpo,
     dmrg_ground_state,
-    energy_variance,
     mps_entropy,
     mps_observables,
     random_mps,

@@ -55,7 +55,12 @@ def _lstsq_c(ls: np.ndarray, ss: np.ndarray):
 def fit_central_charge(points, bootstrap: int = BOOTSTRAP_SAMPLES,
                        seed: int = 0) -> CentralChargeFit:
     """Fit S = (c/6) ln L + offset to (L, S) pairs; bootstrap over points for
-    the half-width."""
+    the half-width.
+
+    Every L must be positive and every L and S finite (InvalidParams); at
+    least three points with at least two distinct L are needed
+    (InsufficientPoints), since one L alone cannot fix a slope.
+    """
     points = tuple(points)
     if len(points) < MIN_FIT_POINTS:
         raise InsufficientPoints(f"need at least {MIN_FIT_POINTS} points, got {len(points)}")
@@ -63,6 +68,10 @@ def fit_central_charge(points, bootstrap: int = BOOTSTRAP_SAMPLES,
         raise InvalidParams(f"bootstrap must be >= 1, got {bootstrap}")
     ls = np.array([p[0] for p in points], dtype=float)
     ss = np.array([p[1] for p in points], dtype=float)
+    if not (np.all(np.isfinite(ls) & (ls > 0)) and np.all(np.isfinite(ss))):
+        raise InvalidParams("every L must be positive and every L and S finite")
+    if np.unique(ls).size < 2:
+        raise InsufficientPoints("need at least two distinct sizes L")
     c, offset, residual = _lstsq_c(ls, ss)
 
     rng = np.random.default_rng(seed)

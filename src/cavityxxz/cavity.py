@@ -6,8 +6,11 @@ Delta_c and its linewidth kappa.  Adiabatically eliminating the mode in the
 bad-cavity limit (kappa >> g) leaves the spin-only master equation with the
 exchange prefactor 4 g^2 Delta_c / (4 Delta_c^2 + kappa^2) and a collective
 decay prefactor 2 g^2 kappa / (4 Delta_c^2 + kappa^2).  When Delta_c >> kappa/2
-the evolution is almost unitary and the chain realizes the dimensionless
-model with J/N = 4 g^2 / (Delta_c J_z) and alpha = J_xx / J_z.
+the evolution is almost unitary, and the integrators evolve the dimensionless
+model at J/N = -8 g^2 Delta_c / ((4 Delta_c^2 + kappa^2) J_z) and
+alpha = J_xx / J_z.  ``effective_params`` reports the paper's
+J/N = 4 g^2 / (Delta_c J_z), which differs from it in sign and by a factor of
+about 2.
 
 Both the full spin+photon master equation and the reduced spin-only one are
 written once as the terms (c, A, B) of their generator, L rho = sum c A rho B,

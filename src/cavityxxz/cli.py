@@ -27,7 +27,7 @@ from .cavity import (
     simulate_full,
 )
 from .config import DMRG_OPTIONS, emit_config, parse_config, section_with_defaults
-from .errors import CavityXXZError, InvalidParams, ParseError, Unclassifiable
+from .errors import CavityXXZError, InvalidParams, ModeInstability, ParseError, Unclassifiable
 from .exactdiag import cut_entanglement_entropy, global_ground_state, sector_ground_state
 from .model import PERIODIC, ModelParams
 from .spinwave import (
@@ -38,7 +38,7 @@ from .spinwave import (
     xy_spectrum,
 )
 from .sweep import SweepGrid, run_sweep
-from .tensornet import DmrgConfig, dmrg_ground_state, save_mps
+from .tensornet import DmrgConfig, dmrg_ground_state
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,7 +171,7 @@ def _cmd_spinwave(args) -> int:
             "slope": density.slope,
             "series": [[n, d] for n, d in density.finite_n_series],
         }
-    except CavityXXZError as exc:
+    except ModeInstability as exc:
         payload["excitation_density"] = {"error": str(exc)}
 
     if args.out:
@@ -192,8 +192,6 @@ def _cmd_dmrg(args) -> int:
     p = ModelParams(cfg["alpha"], cfg["j"], cfg["n"])
     settings = {k: cfg[k] for k in DMRG_OPTIONS}
     mps, report = dmrg_ground_state(p, DmrgConfig(**settings, seed=args.seed))
-    if cfg["checkpoint"]:
-        save_mps(mps, cfg["checkpoint"])
     payload = {
         "alpha": p.alpha, "j": p.j_lr, "n": p.n_sites,
         "energy": report.energy,
@@ -205,7 +203,7 @@ def _cmd_dmrg(args) -> int:
         "s_half": report.entropy_profile[p.n_sites // 2 - 1],
         "entropy_profile": report.entropy_profile,
         "bond_dims": mps.bond_dims,
-        "seed": report.seed,
+        "seed": args.seed,
         "config": emit_config({"dmrg": cfg}),
     }
     _emit(args, payload, "dmrg.json")

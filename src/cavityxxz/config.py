@@ -57,7 +57,6 @@ SCHEMAS: dict[str, dict[str, Option]] = {
         "j": Option("float", 0.0),
         "n": Option("int"),
         **DMRG_OPTIONS,
-        "checkpoint": Option("str", None),
     },
     "sweep": {
         "alpha_values": Option("floats"),

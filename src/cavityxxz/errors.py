@@ -45,8 +45,8 @@ class Unclassifiable(CavityXXZError):
     """Spin-wave theory cannot assign a phase label at this point."""
 
 
-class InsufficientPoints(CavityXXZError):
-    """Too few data points for the requested fit."""
+class InsufficientPoints(InvalidParams):
+    """Too few data points, or too few distinct sizes, for the requested fit."""
 
 
 class TraceDrift(CavityXXZError):

@@ -67,7 +67,7 @@ class SectorBasis:
     """Ordered basis of the fixed-magnetization block with n_up up spins.
 
     A state's index is its rank in the ascending ``states``, found by binary
-    search, so the basis holds O(dim) memory.
+    search (``_rank``), so the basis holds O(dim) memory.
     """
 
     n_sites: int
@@ -77,9 +77,6 @@ class SectorBasis:
     @property
     def size(self) -> int:
         return self.states.shape[0]
-
-    def index_of(self, state: int) -> int:
-        return int(_rank(self.states, state))
 
 
 def _rank(states: np.ndarray, targets):

@@ -230,14 +230,14 @@ def xy_integrand(alpha: float, j_lr: float, q) -> np.ndarray | float:
 def excitation_density(p: ModelParams, n_list=DEFAULT_N_LADDER) -> ExcitationDensityResult:
     """Bogoliubov excitation density (1/2N) sum_{k != 0} ([1 - mu^2/omega^2]^(-1/2) - 1).
 
-    Evaluated for each size in ``n_list`` (increasing, even), then fitted
-    against ln N over the largest sampled decade; slope > 0.01 classifies the
-    series as log-divergent.  The k = 0 mode is excluded from the sum.
-    Raises ModeInstability if any sampled mode has omega^2 < mu^2.
+    Evaluated for each size in ``n_list`` (at least two, increasing, even),
+    then fitted against ln N over the largest sampled decade; slope > 0.01
+    classifies the series as log-divergent.  The k = 0 mode is excluded from
+    the sum.  Raises ModeInstability if any sampled mode has omega^2 < mu^2.
     """
     ns = tuple(n_list)
-    if any(n % 2 for n in ns) or list(ns) != sorted(set(ns)):
-        raise InvalidParams("n_list must be an increasing list of even sizes")
+    if len(ns) < 2 or any(n % 2 for n in ns) or list(ns) != sorted(set(ns)):
+        raise InvalidParams("n_list must be an increasing list of at least two even sizes")
     series: list[tuple[int, float]] = []
     for n in ns:
         pn = ModelParams(p.alpha, p.j_lr, n, boundary=PERIODIC)

@@ -3,14 +3,12 @@
 from .mps import (
     MatrixProductState,
     entropy_profile,
-    load_mps,
     mps_entropy,
     mps_observables,
     random_mps,
-    save_mps,
 )
 from .mpo import MatrixProductOperator, build_mpo, expectation, mpo_to_dense
-from .dmrg import DmrgConfig, DmrgReport, dmrg_ground_state, energy_variance
+from .dmrg import DmrgConfig, DmrgReport, dmrg_ground_state
 
 __all__ = [
     "MatrixProductState",
@@ -19,13 +17,10 @@ __all__ = [
     "DmrgReport",
     "build_mpo",
     "dmrg_ground_state",
-    "energy_variance",
     "entropy_profile",
     "expectation",
-    "load_mps",
     "mpo_to_dense",
     "mps_entropy",
     "mps_observables",
     "random_mps",
-    "save_mps",
 ]

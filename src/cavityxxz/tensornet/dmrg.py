@@ -25,8 +25,8 @@ import numpy as np
 from ..errors import InvalidParams
 from ..krylov import lowest_eigenpair
 from ..model import ModelParams
-from .mpo import MatrixProductOperator, _advance, _advance_right, build_mpo, expectation
-from .mps import MatrixProductState, entropy_profile, random_mps
+from .mpo import _advance, _advance_right, build_mpo, expectation
+from .mps import entropy_profile, random_mps
 
 PIN_STRENGTH = 1e-8
 _DENSE_LOCAL_DIM = 400
@@ -88,7 +88,6 @@ class DmrgReport:
     status: str
     entropy_profile: list[float] = field(repr=False)
     n_sweeps: int = 0
-    seed: int = 0
     matvecs_per_sweep: list[int] = field(default_factory=list)
 
 
@@ -250,20 +249,6 @@ def dmrg_ground_state(p: ModelParams, config: DmrgConfig = DmrgConfig()):
         status=status,
         entropy_profile=entropy_profile(mps),
         n_sweeps=len(energies),
-        seed=config.seed,
         matvecs_per_sweep=matvecs_per_sweep,
     )
     return mps, report
-
-
-def energy_variance(mps: MatrixProductState, mpo: MatrixProductOperator) -> float:
-    """<H^2> - <H>^2; near zero certifies an eigenstate."""
-    e1 = expectation(mps, mpo)
-    env = np.ones((1, 1, 1, 1))
-    for a, w in zip(mps.tensors, mpo.tensors):
-        t = np.tensordot(env, a, ([3], [0]))         # (bra, w1, w2, s, ket')
-        t = np.tensordot(t, w, ([2, 3], [0, 2]))     # (bra, w1, ket', s', w2')
-        t = np.tensordot(t, w, ([1, 3], [0, 2]))     # (bra, ket', w2', s'', w1')
-        t = np.tensordot(a, t, ([0, 1], [0, 3]))     # (bra', ket', w2', w1')
-        env = t.transpose(0, 3, 2, 1)
-    return float(env[0, 0, 0, 0] - e1 * e1)

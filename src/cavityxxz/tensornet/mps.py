@@ -9,7 +9,6 @@ right-isometry condition, and the state norm lives on the center tensor.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,12 +17,9 @@ from ..errors import InvalidBond, InvalidParams
 from ..exactdiag import entropy_from_weights
 from ..model import SM, SP, SZ
 
-_MAGIC = b"CXMPS"
-_VERSION = 1
-
 
 class MatrixProductState:
-    def __init__(self, tensors, center=None, seed=0):
+    def __init__(self, tensors, center=None):
         if tensors[0].shape[0] != 1 or tensors[-1].shape[2] != 1:
             raise InvalidParams("boundary bonds must have dimension 1")
         for a, b in zip(tensors[:-1], tensors[1:]):
@@ -31,7 +27,6 @@ class MatrixProductState:
                 raise InvalidParams("mismatched bond dimensions between neighboring tensors")
         self.tensors = list(tensors)
         self.center = center
-        self.seed = seed
 
     @property
     def n_sites(self) -> int:
@@ -42,14 +37,6 @@ class MatrixProductState:
         """Interior bond dimensions, bonds 1..N-1."""
         return [t.shape[2] for t in self.tensors[:-1]]
 
-    def norm(self) -> float:
-        if self.center is not None:
-            return float(np.linalg.norm(self.tensors[self.center]))
-        e = np.ones((1, 1))
-        for t in self.tensors:
-            e = np.tensordot(np.tensordot(e, t, ([1], [0])), t, ([0, 1], [0, 1]))
-        return float(np.sqrt(e[0, 0]))
-
 
 def random_mps(n_sites: int, bond_dim: int, seed: int = 0) -> MatrixProductState:
     """Normalized right-canonical MPS with gaussian entries; deterministic in seed."""
@@ -58,7 +45,7 @@ def random_mps(n_sites: int, bond_dim: int, seed: int = 0) -> MatrixProductState
     rng = np.random.default_rng(seed)
     dims = [min(bond_dim, 2**i, 2 ** (n_sites - i)) for i in range(n_sites + 1)]
     tensors = [rng.standard_normal((dims[i], 2, dims[i + 1])) for i in range(n_sites)]
-    mps = MatrixProductState(tensors, center=None, seed=seed)
+    mps = MatrixProductState(tensors)
     _right_canonicalize(mps)
     return mps
 
@@ -178,32 +165,3 @@ def mps_observables(mps: MatrixProductState, pairs=None) -> MpsObservables:
             czz[(i, j)] = two_point(mps, SZ, SZ, a, b)
             cpm[(i, j)] = two_point(mps, SP, SM, a, b)
     return MpsObservables(sz=sz, czz=czz, cpm=cpm)
-
-
-def save_mps(mps: MatrixProductState, path):
-    """Versioned binary checkpoint: header (n_sites, seed, bond dims), then
-    row-major float64 tensor payloads in site order."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIQ", _VERSION, mps.n_sites, mps.seed))
-        dims = [t.shape[0] for t in mps.tensors] + [1]
-        fh.write(struct.pack(f"<{len(dims)}I", *dims))
-        for t in mps.tensors:
-            fh.write(np.ascontiguousarray(t, dtype=np.float64).tobytes())
-
-
-def load_mps(path) -> MatrixProductState:
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise InvalidParams(f"{path} is not an MPS checkpoint")
-        version, n_sites, seed = struct.unpack("<IIQ", fh.read(16))
-        if version != _VERSION:
-            raise InvalidParams(f"unsupported checkpoint version {version}")
-        dims = struct.unpack(f"<{n_sites + 1}I", fh.read(4 * (n_sites + 1)))
-        tensors = []
-        for i in range(n_sites):
-            dl, dr = dims[i], dims[i + 1] if i + 1 < n_sites else 1
-            count = dl * 2 * dr
-            data = np.frombuffer(fh.read(8 * count), dtype=np.float64)
-            tensors.append(data.reshape(dl, 2, dr).copy())
-    return MatrixProductState(tensors, center=None, seed=seed)

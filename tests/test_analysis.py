@@ -54,6 +54,27 @@ def test_fit_requires_three_points():
         fit_central_charge([(16, 0.5), (32, 0.6)])
 
 
+def test_fit_requires_two_distinct_sizes():
+    # every bootstrap resample of one L is degenerate; the fit must not redraw forever
+    with pytest.raises(InsufficientPoints, match="two distinct sizes"):
+        fit_central_charge([(16, 0.5), (16, 0.6), (16, 0.7)])
+    fit = fit_central_charge([(16, 0.5), (16, 0.6), (32, 0.7)])  # two distinct: fitted
+    assert np.isfinite(fit.c) and np.isfinite(fit.ci_halfwidth)
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0.5), (24, 0.6), (32, 0.7)],
+    [(-16, 0.5), (24, 0.6), (32, 0.7)],
+    [(16, float("nan")), (24, 0.6), (32, 0.7)],
+    [(16, 0.5), (24, float("inf")), (32, 0.7)],
+    [(16, 0.5), (24, 0.6), (float("inf"), 0.7)],
+    [(float("nan"), 0.5), (24, 0.6), (32, 0.7)],
+], ids=["L_zero", "L_negative", "S_nan", "S_inf", "L_inf", "L_nan"])
+def test_fit_rejects_sizes_that_are_not_positive_and_values_that_are_not_finite(points):
+    with pytest.raises(InvalidParams, match="positive"):
+        fit_central_charge(points)
+
+
 @pytest.mark.parametrize("bootstrap", [0, -3])
 def test_fit_requires_a_bootstrap_sample(bootstrap):
     points = [(l, np.log(l) / 6.0) for l in LS]

@@ -8,7 +8,6 @@ from cavityxxz.tensornet import (
     DmrgConfig,
     build_mpo,
     dmrg_ground_state,
-    energy_variance,
     mps_observables,
     random_mps,
 )
@@ -81,15 +80,6 @@ def test_sweep_energies_monotone():
         _, (_, report) = run(alpha, j, 10)
         e = report.energies_per_sweep
         assert all(b <= a + 1e-10 for a, b in zip(e, e[1:]))
-
-
-def test_variance_certifies_eigenstate():
-    mpo, (mps, report) = run(0.5, 0.0, 10)
-    assert -1e-10 <= energy_variance(mps, mpo) <= 1e-10
-    mpo, (mps, report) = run(1.5, 0.5, 12)
-    assert -1e-10 <= energy_variance(mps, mpo) <= 1e-6
-    rnd = random_mps(10, 8, seed=123)
-    assert energy_variance(rnd, build_mpo(ModelParams(1.5, 0.5, 10))) > 1e-3
 
 
 def test_observables_match_exact_diagonalization():

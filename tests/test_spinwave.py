@@ -203,6 +203,9 @@ def test_density_validates_n_list():
         excitation_density(periodic(1.5, 0.5, 2), n_list=(64, 63))
     with pytest.raises(InvalidParams):
         excitation_density(periodic(1.5, 0.5, 2), n_list=(128, 64))
+    for n_list in ((), (64,)):  # one size cannot fix a slope
+        with pytest.raises(InvalidParams, match="at least two"):
+            excitation_density(periodic(1.5, 0.5, 2), n_list=n_list)
 
 
 def test_integrand_small_q_scaling():

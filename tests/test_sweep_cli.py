@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -100,6 +102,12 @@ def test_run_point_captures_errors():
     assert record["status"] == "failed"
     assert record["sizes"][0]["status"].startswith("error:")
     assert record["label"] is None
+
+
+def test_run_point_with_one_distinct_size_fails():
+    record = run_point(1.5, 0.5, (8, 8, 8), dict(FAST, chi_max=16), base_seed=0)
+    assert [e["status"] for e in record["sizes"]] == ["ok"] * 3
+    assert record["status"] == "failed" and record["c"] is None
 
 
 def test_run_sweep_resume_and_determinism(tmp_path):
@@ -208,17 +216,22 @@ def test_cli_spinwave(tmp_path):
     assert len(modes) == 1 + 2 * 64  # both vacua
 
 
-def test_cli_dmrg_with_checkpoint(tmp_path):
-    ckpt = tmp_path / "state.mps"
+def test_cli_dmrg_from_a_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"[dmrg]\nalpha = 1.5\nj = 0.5\nn = 10\nchi_max = 32\n"
-                   f"checkpoint = {ckpt}\n")
+    cfg.write_text("[dmrg]\nalpha = 1.5\nj = 0.5\nn = 10\nchi_max = 32\n")
     assert main(["dmrg", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     payload = load_json(tmp_path / "dmrg.json")
     assert payload["converged"] is True
-    assert ckpt.exists()
-    from cavityxxz.tensornet import load_mps
-    assert load_mps(ckpt).n_sites == 10
+
+
+def test_cli_dmrg_rejects_the_removed_checkpoint_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[dmrg]\nalpha = 1.5\nj = 0.5\nn = 10\n"
+                   f"checkpoint = {tmp_path / 'state.mps'}\n")
+    assert main(["dmrg", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 5: unknown key 'checkpoint' in section [dmrg]\n"
+    assert not (tmp_path / "dmrg.json").exists()
 
 
 def test_cli_dmrg_reports_truncation_status(tmp_path):
@@ -368,6 +381,37 @@ def test_cli_fit_c_reports_input_that_is_not_utf8(tmp_path, capsys):
     csv.write_bytes("L,S\n16,0.6\n24,0.7\n32,0.8\n".encode("utf-16"))
     assert main(["fit-c", str(csv)]) == 1
     assert capsys.readouterr().err == f"error: {csv}: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("16,0.5\n16,0.6\n16,0.7\n", "two distinct sizes"),
+    ("16,nan\n24,0.6\n32,0.7\n", "finite"),
+    ("16,0.5\n24,inf\n32,0.7\n", "finite"),
+    ("0,0.5\n24,0.6\n32,0.7\n", "positive"),
+], ids=["one_size", "S_nan", "S_inf", "L_zero"])
+def test_cli_fit_c_rejects_rows_it_cannot_fit(tmp_path, rows, message):
+    # a fresh process with a timeout, so a fit that never ends fails the test
+    # instead of hanging the suite
+    csv = tmp_path / "entropy.csv"
+    csv.write_text("L,S\n" + rows)
+    src = os.path.dirname(os.path.dirname(sweep.__file__))
+    out = subprocess.run([sys.executable, "-m", "cavityxxz.cli", "fit-c", str(csv)],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:") and message in out.stderr
+    assert out.stdout == ""
+
+
+@pytest.mark.parametrize("n_list", ["", "64", "64, 63"], ids=["empty", "one", "odd"])
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+@pytest.mark.parametrize("j", [0.0, 0.5])
+def test_cli_spinwave_rejects_a_bad_n_list_at_every_point(tmp_path, capsys, j, alpha, n_list):
+    cfg = tmp_path / "sw.cfg"
+    cfg.write_text(f"[spinwave]\nalpha = {alpha}\nj = {j}\nn = 64\nn_list = {n_list}\n")
+    assert main(["spinwave", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: n_list must be")
+    assert not (tmp_path / "out" / "spinwave.json").exists()
 
 
 def test_cli_cavity_compare_rejects_different_site_counts(tmp_path, capsys):
