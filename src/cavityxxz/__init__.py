@@ -49,7 +49,6 @@ from .sweep import SweepGrid, run_sweep
 from .tensornet import (
     DmrgConfig,
     DmrgReport,
-    MatrixProductOperator,
     MatrixProductState,
     build_mpo,
     dmrg_ground_state,

@@ -51,6 +51,9 @@ class CavityParams:
     n_sites: int
 
     def __post_init__(self):
+        rates = (self.g, self.delta_c, self.kappa, self.j_xx, self.j_z)
+        if not np.all(np.isfinite(rates)):
+            raise InvalidParams(f"g, delta_c, kappa, j_xx and j_z must be finite, got {rates}")
         if self.kappa < 0:
             raise InvalidParams("kappa must be >= 0")
         if self.j_z == 0:

@@ -41,6 +41,13 @@ from .sweep import SweepGrid, run_sweep
 from .tensornet import DmrgConfig, dmrg_ground_state
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors are configuration errors (exit 1)
         raise ParseError(message)
@@ -54,7 +61,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="config file (sections per subcommand)")
         p.add_argument("--out", help="output directory")
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=non_negative_int, default=0)
 
     def model_flags(p):
         p.add_argument("--alpha", type=float)
@@ -219,6 +226,7 @@ def _cmd_sweep(args) -> int:
           f"= {grid.cardinality} points, sizes {list(cfg['sizes'])}")
     formats = ("csv", "json") if args.format == "both" else (args.format,)
     settings = {k: cfg[k] for k in DMRG_OPTIONS}
+    DmrgConfig(**settings)  # bad settings fail here, not once per point
     os.makedirs(args.out, exist_ok=True)
     rec.write_text(emit_config({"sweep": cfg}), os.path.join(args.out, "sweep.cfg"))
     summary = run_sweep(grid, settings, args.out, base_seed=args.seed,
@@ -347,8 +355,9 @@ def _cmd_cavity(args) -> int:
             "alpha": eff.alpha,
             "j_over_n": eff.j_over_n,
             "gamma_collective": eff.gamma_collective,
-            "unitarity_ratio": eff.unitarity_ratio,
-            "bad_cavity_ratio": eff.bad_cavity_ratio,
+            # infinite at kappa = 0 and g = 0; JSON has no infinity
+            "unitarity_ratio": None if np.isinf(eff.unitarity_ratio) else eff.unitarity_ratio,
+            "bad_cavity_ratio": None if np.isinf(eff.bad_cavity_ratio) else eff.bad_cavity_ratio,
             "config": emit_config({"cavity": cfg}),
         }
         _emit(args, payload, "cavity_map.json")

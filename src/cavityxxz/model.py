@@ -56,6 +56,8 @@ class ModelParams:
     boundary: str = OPEN
 
     def __post_init__(self):
+        if not (np.isfinite(self.alpha) and np.isfinite(self.j_lr)):
+            raise InvalidParams(f"alpha and j_lr must be finite, got {self.alpha}, {self.j_lr}")
         if self.n_sites < 2:
             raise InvalidParams(f"n_sites must be >= 2, got {self.n_sites}")
         if self.boundary not in (OPEN, PERIODIC):

@@ -7,12 +7,11 @@ from .mps import (
     mps_observables,
     random_mps,
 )
-from .mpo import MatrixProductOperator, build_mpo, expectation, mpo_to_dense
+from .mpo import build_mpo, expectation, mpo_to_dense
 from .dmrg import DmrgConfig, DmrgReport, dmrg_ground_state
 
 __all__ = [
     "MatrixProductState",
-    "MatrixProductOperator",
     "DmrgConfig",
     "DmrgReport",
     "build_mpo",

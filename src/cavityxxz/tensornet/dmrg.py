@@ -53,7 +53,8 @@ class DmrgConfig:
 
     chi_max caps the bond dimension, reached by ``chi_schedule``;
     truncation_cut is the largest discarded Schmidt weight allowed at a
-    split and may not exceed 1e-6.
+    split and lies in [0, 1e-6]; energy_tol is finite and > 0.  The
+    comparisons also reject NaN, which would switch the gates off.
     """
 
     chi_max: int = 128
@@ -65,8 +66,10 @@ class DmrgConfig:
     def __post_init__(self):
         if self.chi_max < 1:
             raise InvalidParams("chi_max must be >= 1")
-        if self.truncation_cut > 1e-6:
-            raise InvalidParams("truncation_cut must be <= 1e-6")
+        if not 0.0 <= self.truncation_cut <= 1e-6:
+            raise InvalidParams(f"truncation_cut must lie in [0, 1e-6], got {self.truncation_cut}")
+        if not 0.0 < self.energy_tol < np.inf:
+            raise InvalidParams(f"energy_tol must be finite and > 0, got {self.energy_tol}")
         if self.max_sweeps < 1:
             raise InvalidParams("max_sweeps must be >= 1")
 
@@ -169,7 +172,9 @@ def _split(theta, chi_max):
     return (
         u[:, :keep].reshape(dl, d1, keep),
         s_kept,
-        vh[:keep].reshape(keep, d2, dr),
+        # a copy: the state at rest holds Vh, and a view of it would keep
+        # the whole SVD basis, up to twice the kept rows, alive
+        vh[:keep].reshape(keep, d2, dr).copy(),
         discarded,
     )
 
@@ -188,16 +193,17 @@ def dmrg_ground_state(p: ModelParams, config: DmrgConfig = DmrgConfig()):
     """
     mpo = build_mpo(p, pin_strength=PIN_STRENGTH)
     schedule = chi_schedule(config.chi_max)
-    n = mpo.n_sites
+    n = len(mpo)
     mps = random_mps(n, schedule[0], config.seed)
 
     rights = [None] * (n + 1)
     rights[n] = np.ones((1, 1, 1))
     for i in range(n - 1, 0, -1):
-        rights[i] = _advance_right(rights[i + 1], mps.tensors[i], mpo.tensors[i])
+        rights[i] = _advance_right(rights[i + 1], mps.tensors[i], mpo[i])
     lefts = [None] * (n + 1)
     lefts[0] = np.ones((1, 1, 1))
-    # one sweep: left-to-right over every bond, then back
+    # one sweep: left-to-right over every bond, then back to bond 0, which
+    # leaves the state right-canonical with its norm on site 0
     bonds = [(i, True) for i in range(n - 1)] + [(i, False) for i in range(n - 2, -1, -1)]
 
     energies: list[float] = []
@@ -212,7 +218,7 @@ def dmrg_ground_state(p: ModelParams, config: DmrgConfig = DmrgConfig()):
         for i, rightward in bonds:
             theta0 = np.tensordot(mps.tensors[i], mps.tensors[i + 1], ([2], [0]))
             tol = max(_LOCAL_TOL, _TOL_PER_SQRT_WEIGHT * np.sqrt(discarded[i]))
-            _, theta, used = _solve_local(lefts[i], mpo.tensors[i], mpo.tensors[i + 1],
+            _, theta, used = _solve_local(lefts[i], mpo[i], mpo[i + 1],
                                           rights[i + 2], theta0, tol)
             matvecs += used
             u, s, vh, disc = _split(theta, chi)
@@ -221,13 +227,11 @@ def dmrg_ground_state(p: ModelParams, config: DmrgConfig = DmrgConfig()):
             if rightward:
                 mps.tensors[i] = u
                 mps.tensors[i + 1] = np.tensordot(np.diag(s), vh, ([1], [0]))
-                mps.center = i + 1
-                lefts[i + 1] = _advance(lefts[i], u, mpo.tensors[i])
+                lefts[i + 1] = _advance(lefts[i], u, mpo[i])
             else:
                 mps.tensors[i] = np.tensordot(u, np.diag(s), ([2], [0]))
                 mps.tensors[i + 1] = vh
-                mps.center = i
-                rights[i + 1] = _advance_right(rights[i + 2], vh, mpo.tensors[i + 1])
+                rights[i + 1] = _advance_right(rights[i + 2], vh, mpo[i + 1])
 
         energies.append(expectation(mps, mpo))
         matvecs_per_sweep.append(matvecs)

@@ -5,7 +5,8 @@ The uniform infinite-range XX coupling is encoded exactly with a pair of
 the MPO bond dimension stays at 7 (5 when J = 0, the standard XXZ layout)
 independent of N, and the representation error is exactly zero.
 
-Tensor index convention: W[left bond, phys out, phys in, right bond].
+An MPO is the plain list of its site tensors, with the index convention
+W[left bond, phys out, phys in, right bond].
 """
 
 from __future__ import annotations
@@ -17,19 +18,7 @@ from ..model import ID2, OPEN, SM, SP, SZ, ModelParams, amplitudes
 from .mps import MatrixProductState
 
 
-class MatrixProductOperator:
-    def __init__(self, tensors):
-        for a, b in zip(tensors[:-1], tensors[1:]):
-            if a.shape[3] != b.shape[0]:
-                raise InvalidParams("mismatched MPO bond dimensions")
-        self.tensors = list(tensors)
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.tensors)
-
-
-def build_mpo(p: ModelParams, pin_strength: float = 0.0) -> MatrixProductOperator:
+def build_mpo(p: ModelParams, pin_strength: float = 0.0) -> list[np.ndarray]:
     """MPO of H, optionally with a -pin_strength * sz field on site 0.
 
     The pinning term breaks the exact spin-flip degeneracy of the
@@ -66,14 +55,13 @@ def build_mpo(p: ModelParams, pin_strength: float = 0.0) -> MatrixProductOperato
     first = w[0:1].copy()
     if pin_strength != 0.0:
         first[0, :, :, last] += -pin_strength * SZ
-    tensors = [first] + [w.copy() for _ in range(n - 2)] + [w[:, :, :, last:].copy()]
-    return MatrixProductOperator(tensors)
+    return [first] + [w.copy() for _ in range(n - 2)] + [w[:, :, :, last:].copy()]
 
 
-def mpo_to_dense(mpo: MatrixProductOperator) -> np.ndarray:
+def mpo_to_dense(mpo: list[np.ndarray]) -> np.ndarray:
     """Contract the MPO to a dense 2^N matrix in bitmask ordering (site 0 = LSB)."""
-    block = mpo.tensors[0][0]  # (2, 2, w)
-    for w in mpo.tensors[1:]:
+    block = mpo[0][0]  # (2, 2, w)
+    for w in mpo[1:]:
         # new site's physical index becomes the most significant bit so far
         block = np.einsum("abw,wstv->satbv", block, w)
         da = block.shape[1] * 2
@@ -81,10 +69,10 @@ def mpo_to_dense(mpo: MatrixProductOperator) -> np.ndarray:
     return block[:, :, 0]
 
 
-def expectation(mps: MatrixProductState, mpo: MatrixProductOperator) -> float:
+def expectation(mps: MatrixProductState, mpo: list[np.ndarray]) -> float:
     """<psi|O|psi> by a left-to-right sandwich contraction (any gauge)."""
     env = np.ones((1, 1, 1))
-    for a, w in zip(mps.tensors, mpo.tensors):
+    for a, w in zip(mps.tensors, mpo):
         env = _advance(env, a, w)
     return float(env[0, 0, 0])
 

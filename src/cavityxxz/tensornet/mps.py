@@ -2,14 +2,18 @@
 
 Site tensors have shape (left bond, physical, right bond) with physical
 index 0 = down, 1 = up (matching the bitmask convention of the exact
-solvers).  A mixed-canonical gauge is tracked through ``center``: tensors
-left of it satisfy the left-isometry condition, tensors right of it the
-right-isometry condition, and the state norm lives on the center tensor.
+solvers).  At rest a state is right-canonical with its norm on site 0: every
+tensor right of site 0 satisfies the right-isometry condition.  The
+constructor establishes that form and DMRG ends every sweep in it.  Reads
+never move the gauge: they carry the R factor of a left-to-right QR pass
+(``_centers``), which gives each site's center tensor without writing to
+``tensors``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -19,14 +23,24 @@ from ..model import SM, SP, SZ
 
 
 class MatrixProductState:
-    def __init__(self, tensors, center=None):
+    def __init__(self, tensors):
+        tensors = list(tensors)
         if tensors[0].shape[0] != 1 or tensors[-1].shape[2] != 1:
             raise InvalidParams("boundary bonds must have dimension 1")
         for a, b in zip(tensors[:-1], tensors[1:]):
             if a.shape[2] != b.shape[0]:
                 raise InvalidParams("mismatched bond dimensions between neighboring tensors")
-        self.tensors = list(tensors)
-        self.center = center
+        # right-to-left QR sweep: right isometries on sites 1..N-1
+        for i in range(len(tensors) - 1, 0, -1):
+            dl, d, dr = tensors[i].shape
+            qt, rt = np.linalg.qr(tensors[i].reshape(dl, d * dr).T)
+            tensors[i] = qt.T.reshape(-1, d, dr)
+            tensors[i - 1] = np.tensordot(tensors[i - 1], rt.T, ([2], [0]))
+        nrm = np.linalg.norm(tensors[0])
+        if nrm == 0.0:
+            raise InvalidParams("cannot normalize a zero state")
+        tensors[0] = tensors[0] / nrm
+        self.tensors = tensors
 
     @property
     def n_sites(self) -> int:
@@ -44,75 +58,44 @@ def random_mps(n_sites: int, bond_dim: int, seed: int = 0) -> MatrixProductState
         raise InvalidParams("bond_dim must be >= 1")
     rng = np.random.default_rng(seed)
     dims = [min(bond_dim, 2**i, 2 ** (n_sites - i)) for i in range(n_sites + 1)]
-    tensors = [rng.standard_normal((dims[i], 2, dims[i + 1])) for i in range(n_sites)]
-    mps = MatrixProductState(tensors)
-    _right_canonicalize(mps)
-    return mps
+    return MatrixProductState([rng.standard_normal((dims[i], 2, dims[i + 1]))
+                               for i in range(n_sites)])
 
 
-def _right_canonicalize(mps: MatrixProductState):
-    for i in range(mps.n_sites - 1, 0, -1):
-        _move_center_left(mps, i)
-    a0 = mps.tensors[0]
-    nrm = np.linalg.norm(a0)
-    if nrm == 0.0:
-        raise InvalidParams("cannot normalize a zero state")
-    mps.tensors[0] = a0 / nrm
-    mps.center = 0
+def _centers(mps: MatrixProductState):
+    """Yield the center tensor R_i A_i of each site i, left to right.
+
+    R_i is the R factor of the QR of everything left of site i, so R_i A_i is
+    the tensor at site i once the sites before it are made left isometries;
+    those Q factors are never formed and ``mps.tensors`` is left as it is.
+    """
+    r = np.ones((1, 1))
+    for a in mps.tensors:
+        c = np.tensordot(r, a, ([1], [0]))
+        yield c
+        dl, d, dr = c.shape
+        r = np.linalg.qr(c.reshape(dl * d, dr), mode="r")
 
 
-def _move_center_right(mps: MatrixProductState, i: int):
-    dl, d, dr = mps.tensors[i].shape
-    q, r = np.linalg.qr(mps.tensors[i].reshape(dl * d, dr))
-    mps.tensors[i] = q.reshape(dl, d, -1)
-    mps.tensors[i + 1] = np.tensordot(r, mps.tensors[i + 1], ([1], [0]))
-    mps.center = i + 1
-
-
-def _move_center_left(mps: MatrixProductState, i: int):
-    dl, d, dr = mps.tensors[i].shape
-    qt, rt = np.linalg.qr(mps.tensors[i].reshape(dl, d * dr).T)
-    mps.tensors[i] = qt.T.reshape(-1, d, dr)
-    mps.tensors[i - 1] = np.tensordot(mps.tensors[i - 1], rt.T, ([2], [0]))
-    mps.center = i - 1
-
-
-def center_to(mps: MatrixProductState, site: int):
-    """Move the canonical center to ``site`` (canonicalizing first if unset)."""
-    if mps.center is None:
-        _right_canonicalize(mps)
-    while mps.center < site:
-        _move_center_right(mps, mps.center)
-    while mps.center > site:
-        _move_center_left(mps, mps.center)
-
-
-def bond_spectrum(mps: MatrixProductState, bond: int) -> np.ndarray:
-    """Schmidt weights (descending) across ``bond`` (between sites bond-1, bond)."""
-    if not 1 <= bond <= mps.n_sites - 1:
-        raise InvalidBond(f"bond must lie in 1..{mps.n_sites - 1}, got {bond}")
-    center_to(mps, bond - 1)
-    dl, d, dr = mps.tensors[bond - 1].shape
-    svals = np.linalg.svd(mps.tensors[bond - 1].reshape(dl * d, dr), compute_uv=False)
-    w = svals**2
+def _bond_entropy(c: np.ndarray) -> float:
+    """Entropy of the Schmidt weights across the right bond of center tensor c."""
+    dl, d, dr = c.shape
+    w = np.linalg.svd(c.reshape(dl * d, dr), compute_uv=False) ** 2
     total = w.sum()
-    return w / total if total > 0 else w
+    return entropy_from_weights(w / total if total > 0 else w)
 
 
 def mps_entropy(mps: MatrixProductState, bond: int) -> float:
-    """Von Neumann entropy -sum(w ln w) of the Schmidt weights at ``bond``."""
-    return entropy_from_weights(bond_spectrum(mps, bond))
+    """Von Neumann entropy -sum(w ln w) of the Schmidt weights at ``bond``
+    (between sites bond-1 and bond)."""
+    if not 1 <= bond <= mps.n_sites - 1:
+        raise InvalidBond(f"bond must lie in 1..{mps.n_sites - 1}, got {bond}")
+    return _bond_entropy(next(islice(_centers(mps), bond - 1, None)))
 
 
 def entropy_profile(mps: MatrixProductState) -> list[float]:
     """Entropy at every bond 1..N-1 (single left-to-right pass)."""
-    return [mps_entropy(mps, b) for b in range(1, mps.n_sites)]
-
-
-def site_expectation(mps: MatrixProductState, op: np.ndarray, site: int) -> float:
-    center_to(mps, site)
-    a = mps.tensors[site]
-    return float(np.einsum("asb,st,atb->", a, op, a))
+    return [_bond_entropy(c) for c in islice(_centers(mps), mps.n_sites - 1)]
 
 
 def two_point(mps: MatrixProductState, op_i: np.ndarray, op_j: np.ndarray,
@@ -120,8 +103,7 @@ def two_point(mps: MatrixProductState, op_i: np.ndarray, op_j: np.ndarray,
     """<op_i(i) op_j(j)> for i < j via a transfer contraction."""
     if not 0 <= i < j < mps.n_sites:
         raise InvalidParams(f"need 0 <= i < j < N, got ({i}, {j})")
-    center_to(mps, i)
-    a = mps.tensors[i]
+    a = next(islice(_centers(mps), i, None))
     env = np.tensordot(a, _apply_site_op(op_i, a), ([0, 1], [0, 1]))   # (bra, ket)
     for m in range(i + 1, j):
         a = mps.tensors[m]
@@ -152,7 +134,7 @@ def mps_observables(mps: MatrixProductState, pairs=None) -> MpsObservables:
     cpm at i == j returns <S+ S->_i = (1 + <sz_i>)/2.
     """
     n = mps.n_sites
-    sz = np.array([site_expectation(mps, SZ, i) for i in range(n)])
+    sz = np.array([float(np.einsum("asb,st,atb->", c, SZ, c)) for c in _centers(mps)])
     if pairs is None:
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
     czz, cpm = {}, {}

@@ -32,6 +32,12 @@ def test_params_validation():
         CavityParams(1.0, 10.0, 1.0, 1.0, 0.0, 2)
     with pytest.raises(InvalidParams):
         effective_params(CavityParams(1.0, 0.0, 1.0, 1.0, 1.0, 2))
+    for k in range(5):
+        for bad in (float("nan"), float("inf")):
+            rates = [1.0, 10.0, 1.0, 1.0, 1.0]
+            rates[k] = bad
+            with pytest.raises(InvalidParams, match="must be finite"):
+                CavityParams(*rates, 2)
 
 
 def test_effective_mapping_experimental_numbers():
@@ -269,6 +275,17 @@ def test_trace_drift_raises_on_unstable_step():
     cp = CavityParams(g=0.1, delta_c=50.0, kappa=1.0, j_xx=1.0, j_z=1.0, n_sites=1)
     with pytest.raises(TraceDrift):
         simulate_full(cp, n_max=3, t_end=10.0, dt=0.5)
+
+
+def test_trace_drift_retry_halves_the_step():
+    # dt = 0.04 drifts beyond TRACE_TOL on these inputs and dt = 0.02 does not
+    cp = CavityParams(g=0.25, delta_c=100.0, kappa=5.0, j_xx=1.0, j_z=1.0, n_sites=2)
+    retried = simulate_full(cp, n_max=2, t_end=10.0, dt=0.04)
+    direct = simulate_full(cp, n_max=2, t_end=10.0, dt=0.02)
+    assert retried.meta["halved"] is True and retried.meta["dt"] == 0.02
+    assert direct.meta["halved"] is False
+    for name in ("times", "sigma_z", "photon", "trace_error"):
+        assert np.array_equal(getattr(retried, name), getattr(direct, name))
 
 
 @pytest.mark.parametrize("t_end, dt", [(1.0, 0.0), (1.0, -0.01), (-1.0, 0.001), (0.0, 0.001)])

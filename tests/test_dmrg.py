@@ -29,6 +29,14 @@ def test_config_validation():
         DmrgConfig(truncation_cut=1e-5)
     with pytest.raises(InvalidParams):
         DmrgConfig(max_sweeps=0)
+    # NaN fails every comparison, so it would switch the gates off
+    for cut in (float("nan"), float("inf"), -1e-9):
+        with pytest.raises(InvalidParams, match="truncation_cut"):
+            DmrgConfig(truncation_cut=cut)
+    for tol in (float("nan"), float("inf"), 0.0, -1e-9):
+        with pytest.raises(InvalidParams, match="energy_tol"):
+            DmrgConfig(energy_tol=tol)
+    DmrgConfig(truncation_cut=0.0)
 
 
 @pytest.mark.parametrize("j,site,dl,dr", [
@@ -40,7 +48,7 @@ def test_config_validation():
 ])
 def test_local_matvec_matches_dense_heff(j, site, dl, dr):
     mpo = build_mpo(ModelParams(1.5, j, 8))
-    w1, w2 = mpo.tensors[site], mpo.tensors[site + 1]
+    w1, w2 = mpo[site], mpo[site + 1]
     rng = np.random.default_rng(site)
     lenv = rng.standard_normal((dl, w1.shape[0], dl))
     renv = rng.standard_normal((dr, w2.shape[3], dr))
@@ -101,17 +109,13 @@ def test_entropy_profile_reflection_symmetric():
 
 
 def test_final_state_canonical_isometries():
+    # at rest: right isometries on sites 1..N-1, the norm on site 0
     _, (mps, _) = run(1.5, 0.5, 10)
-    c = mps.center
-    for i in range(c):
-        t = mps.tensors[i]
-        m = t.reshape(-1, t.shape[2])
-        assert np.abs(m.T @ m - np.eye(t.shape[2])).max() < 1e-10
-    for i in range(c + 1, mps.n_sites):
+    for i in range(1, mps.n_sites):
         t = mps.tensors[i]
         m = t.reshape(t.shape[0], -1)
         assert np.abs(m @ m.T - np.eye(t.shape[0])).max() < 1e-10
-    assert abs(np.linalg.norm(mps.tensors[c]) - 1.0) < 1e-10
+    assert abs(np.linalg.norm(mps.tensors[0]) - 1.0) < 1e-10
 
 
 def test_truncation_error_reported_below_gate():

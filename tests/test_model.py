@@ -20,6 +20,11 @@ def test_params_validation():
         ModelParams(1.0, 0.0, 1)
     with pytest.raises(InvalidParams):
         ModelParams(1.0, 0.0, 4, boundary="twisted")
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(InvalidParams, match="must be finite"):
+            ModelParams(bad, 0.0, 4)
+        with pytest.raises(InvalidParams, match="must be finite"):
+            ModelParams(1.0, bad, 4)
     with pytest.raises(SizeExceeded):
         build_dense_hamiltonian(ModelParams(1.0, 0.0, 15))
 

@@ -20,6 +20,14 @@ from cavityxxz.tensornet.dmrg import chi_schedule
 FAST = {"chi_max": 32, "max_sweeps": 20, "truncation_cut": 1e-6, "energy_tol": 1e-9}
 
 
+def strict_json(text):
+    """json.loads that rejects the NaN and Infinity literals, which are not JSON."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def strip_meta(record):
     return {k: v for k, v in record.items() if k != "meta"}
 
@@ -241,6 +249,35 @@ def test_cli_dmrg_reports_truncation_status(tmp_path):
     payload = load_json(tmp_path / "dmrg.json")
     assert payload["max_truncation_error"] > 1e-6
     assert payload["status"] == "truncation_exceeded"
+
+
+@pytest.mark.parametrize("line", ["truncation_cut = nan", "truncation_cut = -1e-9",
+                                  "energy_tol = nan", "energy_tol = inf", "energy_tol = 0"])
+def test_cli_dmrg_and_sweep_reject_gates_that_are_not_finite_and_in_range(tmp_path, capsys,
+                                                                           line):
+    # chi_max = 2 discards 2e-3 at N = 16; a NaN cut used to report status "ok"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[dmrg]\nalpha = 1.5\nj = 0.5\nn = 16\nchi_max = 2\n{line}\n"
+                   f"[sweep]\nalpha_values = 1.5\nj_values = 0.5\nsizes = 8, 10\n{line}\n")
+    assert main(["dmrg", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 1
+    key = line.split()[0]
+    assert capsys.readouterr().err.count(f"error: {key} must") == 2
+    assert not (tmp_path / "dmrg.json").exists()
+    assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("command", [["dmrg"], ["ed"], ["ed", "--seed", "1"]])
+@pytest.mark.parametrize("alpha, j", [("nan", "0.5"), ("1.5", "inf"), ("-inf", "0.5")])
+def test_cli_rejects_couplings_that_are_not_finite(capsys, command, alpha, j):
+    assert main(command + [f"--alpha={alpha}", f"--j={j}", "--n", "8"]) == 1
+    assert capsys.readouterr().err.startswith("error: alpha and j_lr must be finite")
+
+
+@pytest.mark.parametrize("command", ["ed", "dmrg"])
+def test_cli_rejects_a_negative_seed(capsys, command):
+    assert main([command, "--alpha", "1.5", "--j", "0.5", "--n", "6", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: argument --seed: must be >= 0, got -1\n"
 
 
 def test_cli_sweep_requires_out_and_runs(tmp_path, capsys):
@@ -465,6 +502,32 @@ def test_cli_cavity_map_simulate_compare(tmp_path, capsys):
     assert all(v["max_abs_deviation"] == 0.0 for v in report.values())
     assert main(["cavity", "compare", str(eff_csv), str(full_csv),
                  "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("rates, nulls", [
+    ("g = 0.25\nkappa = 0", ["unitarity_ratio"]),
+    ("g = 0\nkappa = 5", ["bad_cavity_ratio"]),
+    ("g = 0\nkappa = 0", ["bad_cavity_ratio", "unitarity_ratio"]),
+])
+def test_cli_cavity_map_writes_null_for_an_infinite_ratio(tmp_path, capsys, rates, nulls):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[cavity]\n{rates}\ndelta_c = 100\nj_xx = 1\nj_z = 1\n")
+    assert main(["cavity", "map", "--config", str(cfg)]) == 0
+    mapped = strict_json(capsys.readouterr().out)
+    assert sorted(k for k, v in mapped.items() if v is None) == nulls
+
+
+@pytest.mark.parametrize("key", ["g", "delta_c", "kappa", "j_xx", "j_z"])
+@pytest.mark.parametrize("action", ["map", "simulate"])
+def test_cli_cavity_rejects_rates_that_are_not_finite(tmp_path, capsys, key, action):
+    rates = {"g": "0.25", "delta_c": "100", "kappa": "5", "j_xx": "1", "j_z": "1", key: "nan"}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[cavity]\n" + "".join(f"{k} = {v}\n" for k, v in rates.items())
+                   + "n_max = 2\nt_end = 0.1\n")
+    out = tmp_path / "traj"
+    assert main(["cavity", action, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: g, delta_c, kappa, j_xx and j_z must be finite")
+    assert not out.exists()
 
 
 def test_cli_exit_codes(tmp_path):

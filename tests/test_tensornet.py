@@ -16,7 +16,7 @@ from cavityxxz.tensornet import (
     random_mps,
 )
 from cavityxxz.tensornet import mps as mps_mod
-from cavityxxz.tensornet.mps import center_to, entropy_profile, two_point
+from cavityxxz.tensornet.mps import entropy_profile, two_point
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -31,7 +31,7 @@ def test_mpo_contraction_is_exact(n, alpha, j):
 
 def test_mpo_bond_dimensions():
     def bond_dim(mpo):
-        return max(t.shape[3] for t in mpo.tensors[:-1])
+        return max(t.shape[3] for t in mpo[:-1])
 
     assert bond_dim(build_mpo(ModelParams(1.2, 0.0, 8))) == 5
     assert bond_dim(build_mpo(ModelParams(1.2, 0.7, 8))) == 7
@@ -68,7 +68,6 @@ def test_random_mps_is_deterministic_and_normalized():
 
 def test_random_mps_right_canonical():
     mps = random_mps(6, 8, seed=0)
-    assert mps.center == 0
     for t in mps.tensors[1:]:
         m = t.reshape(t.shape[0], -1)
         assert np.abs(m @ m.T - np.eye(t.shape[0])).max() < 1e-10
@@ -83,13 +82,16 @@ def test_bond_dim_one_is_product_state():
         assert s == 0.0 and math.copysign(1.0, s) == 1.0
 
 
-def test_center_moves_preserve_state():
+def test_reads_leave_tensors_bit_identical():
     mps = random_mps(7, 10, seed=2)
-    before = mps_to_dense(mps)
-    center_to(mps, 6)
-    center_to(mps, 3)
-    after = mps_to_dense(mps)
-    assert np.abs(before - after).max() < 1e-12
+    before = [t.copy() for t in mps.tensors]
+    entropy_profile(mps)
+    mps_entropy(mps, 4)
+    two_point(mps, mps_mod.SP, mps_mod.SM, 1, 5)
+    mps_observables(mps)
+    assert len(mps.tensors) == len(before)
+    for t, t0 in zip(mps.tensors, before):
+        assert np.array_equal(t, t0)
 
 
 def test_mps_entropy_against_dense_svd():
