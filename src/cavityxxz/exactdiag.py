@@ -2,7 +2,9 @@
 
 Sector-resolved dense and Lanczos solvers, ground-state observables, and the
 cut entanglement entropy.  Everything here is used to validate the spin-wave
-and DMRG backends at sizes where exactness is affordable.
+and DMRG backends at sizes where exactness is affordable.  The global scan
+solves only n_up <= N/2 and takes the other sectors from the spin flip, and
+every solve checks its size limit from C(N, n_up) before it builds anything.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .model import (
     make_sector_matvec,
     sector_basis,
     sector_dense_block,
+    sector_dim,
 )
 
 DENSE_SECTOR_LIMIT = 4096
@@ -101,21 +104,23 @@ def sector_ground_state(p: ModelParams, n_up: int, method: str = "auto",
     """Lowest eigenpair of one magnetization block.
 
     method 'auto' uses Lanczos at every dimension; 'dense' diagonalizes the
-    block (up to DENSE_SECTOR_LIMIT) as the cross-check.
+    block (up to DENSE_SECTOR_LIMIT) as the cross-check.  The method and the
+    size limits are checked from C(N, n_up) before the basis is built.
     """
-    basis = sector_basis(p.n_sites, n_up)
-    dim = basis.size
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    dim = sector_dim(p.n_sites, n_up)
+    if method == "dense" and dim > DENSE_SECTOR_LIMIT:
+        raise SizeExceeded(f"dense sector solver limited to {DENSE_SECTOR_LIMIT}, got {dim}")
+    if method == "auto" and dim > LANCZOS_SECTOR_LIMIT:
+        raise SizeExceeded(f"Lanczos sector solver limited to {LANCZOS_SECTOR_LIMIT}, got {dim}")
+
+    basis = sector_basis(p.n_sites, n_up)
     matvec = make_sector_matvec(p, basis)
     if method == "dense":
-        if dim > DENSE_SECTOR_LIMIT:
-            raise SizeExceeded(f"dense sector solver limited to {DENSE_SECTOR_LIMIT}, got {dim}")
         evals, evecs = np.linalg.eigh(sector_dense_block(p, basis))
         energy, vec = float(evals[0]), evecs[:, 0]
     else:
-        if dim > LANCZOS_SECTOR_LIMIT:
-            raise SizeExceeded(f"Lanczos sector solver limited to {LANCZOS_SECTOR_LIMIT}, got {dim}")
         energy, vec = lanczos_ground(matvec, dim, seed=seed)
 
     vec = _fix_sign(vec / np.linalg.norm(vec))
@@ -126,14 +131,19 @@ def sector_ground_state(p: ModelParams, n_up: int, method: str = "auto",
 
 
 def global_ground_state(p: ModelParams, method: str = "auto", seed: int = 0) -> GroundStateReport:
-    """Scan every magnetization sector and report the global minimum.
+    """Scan the magnetization sectors and report the global minimum.
 
-    Sectors within 1e-9 of the minimum are listed as degenerate; the reported
-    state comes from the lowest-n_up winner.
+    With no field, the global spin flip maps sector n_up onto N - n_up with
+    the same spectrum, so only n_up = 0..N//2 are solved and each energy is
+    copied to its mirror.  ``sector_energies`` still lists all N + 1 sectors.
+    Sectors within DEGENERACY_TOL of the minimum are listed as degenerate;
+    the reported state comes from the lowest-n_up winner, which is always
+    one of the solved sectors.
     """
+    n = p.n_sites
     states = [sector_ground_state(p, n_up, method=method, seed=seed)
-              for n_up in range(p.n_sites + 1)]
-    energies = {s.n_up: s.energy for s in states}
+              for n_up in range(n // 2 + 1)]
+    energies = {n_up: states[min(n_up, n - n_up)].energy for n_up in range(n + 1)}
     e0 = min(energies.values())
     degenerate = [n_up for n_up, e in energies.items() if e <= e0 + DEGENERACY_TOL]
     winner = states[degenerate[0]]

@@ -98,13 +98,39 @@ def amplitudes(p: ModelParams) -> tuple[float, float, float]:
     return -0.25, -p.alpha / 2.0, -p.j_lr / (2.0 * p.n_sites)
 
 
-def sector_basis(n_sites: int, n_up: int) -> SectorBasis:
-    """Build the sorted basis of all bitmasks with popcount n_up."""
+def sector_dim(n_sites: int, n_up: int) -> int:
+    """Dimension C(N, n_up) of a magnetization sector, without building it."""
     if not 0 <= n_up <= n_sites:
         raise InvalidParams(f"n_up must lie in 0..{n_sites}, got {n_up}")
-    everything = np.arange(1 << n_sites, dtype=np.int64)
-    states = everything[np.bitwise_count(everything) == n_up]
-    assert states.shape[0] == comb(n_sites, n_up)
+    return comb(n_sites, n_up)
+
+
+def sector_basis(n_sites: int, n_up: int) -> SectorBasis:
+    """Build the sorted basis of all bitmasks with popcount n_up.
+
+    Enumerated one site at a time, never as the 2^N range: ``levels[k]`` holds,
+    ascending, every mask of the sites seen so far with k bits set.  Adding
+    site s maps it to levels[k] followed by levels[k - 1] | 1 << s, still
+    ascending since every mask of the first part is below 1 << s.  Only the k
+    from which n_up is still reachable are kept, so the peak is about twice
+    the result.
+    """
+    dim = sector_dim(n_sites, n_up)
+    empty = np.zeros(0, dtype=np.int64)
+    levels = [np.zeros(1, dtype=np.int64)] + [empty] * n_up
+    for site in range(n_sites):
+        lowest = max(0, n_up - (n_sites - 1 - site))
+        # descending, so that levels[k - 1] is still the one without this site;
+        # level 0, the empty mask, never changes
+        for k in range(min(n_up, site + 1), max(lowest, 1) - 1, -1):
+            kept, raised = levels[k], levels[k - 1]
+            out = np.empty(kept.shape[0] + raised.shape[0], dtype=np.int64)
+            out[:kept.shape[0]] = kept
+            np.bitwise_or(raised, 1 << site, out=out[kept.shape[0]:])
+            levels[k] = out
+        levels[:lowest] = [empty] * lowest
+    states = levels[n_up]
+    assert states.shape[0] == dim
     return SectorBasis(n_sites, n_up, states)
 
 

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import SM, SP, kron_hamiltonian, site_op
 
-from cavityxxz.errors import InvalidCut, InvalidParams
+from cavityxxz import exactdiag
+from cavityxxz.errors import InvalidCut, InvalidParams, SizeExceeded
 from cavityxxz.exactdiag import (
     correlators,
     cut_entanglement_entropy,
@@ -80,6 +82,54 @@ def test_global_fm_doublet():
     assert abs(report.energy - (-1.25)) < 1e-12
     assert report.degenerate_sectors == [0, 6]
     assert report.sector == 0
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("n", [7, 8, 10])
+def test_global_scan_solves_half_the_sectors_and_mirrors_the_rest(monkeypatch, n, boundary):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lanczos_ground(*args, **kwargs)
+
+    monkeypatch.setattr(exactdiag, "lanczos_ground", counted)
+    # (1.15, -0.5) has its ground state off n_up = N/2, in a spin-flip pair
+    for alpha, j in ((1.5, 0.5), (1.15, -0.5), (0.5, 0.0)):
+        p = ModelParams(alpha, j, n, boundary)
+        calls.clear()
+        report = global_ground_state(p)
+        assert len(calls) == n // 2 + 1
+        assert sorted(report.sector_energies) == list(range(n + 1))
+        for n_up in range(n // 2 + 1, n + 1):
+            direct = sector_ground_state(p, n_up).energy
+            assert abs(report.sector_energies[n_up] - direct) < 1e-10
+        assert report.sector <= n / 2
+        assert report.sector == report.degenerate_sectors[0]
+        assert sorted(n - k for k in report.degenerate_sectors) == report.degenerate_sectors
+
+
+def test_size_guard_refuses_before_building_the_sector():
+    # N = 22, n_up = 11: dim 705,432; its basis alone would be 5.4 MiB
+    p = ModelParams(1.5, 0.5, 22)
+    for method in ("auto", "dense"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeExceeded):
+                sector_ground_state(p, 11, method=method)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def test_unknown_method_rejected_before_any_basis(monkeypatch):
+    def no_basis(*args):
+        raise AssertionError("basis built before the method was checked")
+
+    monkeypatch.setattr(exactdiag, "sector_basis", no_basis)
+    with pytest.raises(ValueError, match="unknown method"):
+        sector_ground_state(ModelParams(1.5, 0.5, 8), 4, method="lapack")
 
 
 def test_global_half_filling_in_planar_regime():
